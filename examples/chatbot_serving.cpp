@@ -16,7 +16,9 @@
 
 using namespace hero;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv, "chatbot_serving [requests] [--seed N] [--faults plan.json]");
   const std::size_t requests = cli::positional_size(opts, 0, 100);
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
   std::printf("\nScalability (90%% SLA attainment knee):\n");
   knee.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

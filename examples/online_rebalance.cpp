@@ -23,7 +23,9 @@
 
 using namespace hero;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const cli::Options cli_opts = cli::parse_args(
       argc, argv, "online_rebalance [--seed N] [--faults plan.json]");
   const topo::Graph graph = topo::make_testbed();
@@ -116,4 +118,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(injector.injected()),
               static_cast<unsigned long long>(injector.recovered()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

@@ -41,9 +41,7 @@ void dump_cluster(const char* name, const planner::ClusterPlan& cluster,
   table.print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
       "planner_explorer [testbed|tracks] [rate] [66b|175b|13b] [--seed N]");
@@ -111,4 +109,10 @@ int main(int argc, char** argv) {
     dump_cluster("decode", plan.decode, graph);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

@@ -110,9 +110,7 @@ int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hero;
   const cli::Options opts = cli::parse_args(
       argc, argv,
@@ -195,4 +193,10 @@ int main(int argc, char** argv) {
     std::printf("%s", metrics.snapshot(0.0).to_string().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 
 using namespace hero;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
       "summarization_serving [rate] [requests] [--seed N] "
@@ -80,4 +82,10 @@ int main(int argc, char** argv) {
   }
   table.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

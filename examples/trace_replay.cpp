@@ -103,9 +103,7 @@ void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
       "trace_replay [trace.csv] [rate] [--seed N] [--trace out.json] "
@@ -157,4 +155,10 @@ int main(int argc, char** argv) {
   serve_trace(wl::rescale_rate(trace, wl::summarize(trace).mean_rate * 2.0),
               "replayed at 2x rate", obs::Sink());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hero::cli::guarded_main(argc, argv, run);
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 namespace hero::cli {
 namespace {
@@ -51,6 +52,16 @@ Options parse_args(int& argc, char** argv, const char* usage) {
   argc = out;
   argv[argc] = nullptr;
   return opts;
+}
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 double positional_double(const Options& opts, std::size_t i,

@@ -40,6 +40,11 @@ struct Options {
 /// exits 1.
 [[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage);
 
+/// Run `body` as a binary's main: a std::exception escaping it prints one
+/// `error: <what>` line to stderr and returns 2 instead of aborting.
+[[nodiscard]] int guarded_main(int argc, char** argv,
+                               int (*body)(int, char**));
+
 /// Positional accessors with defaults (index past the end -> fallback).
 [[nodiscard]] double positional_double(const Options& opts, std::size_t i,
                                        double fallback);

@@ -101,44 +101,62 @@ std::unique_ptr<coll::CommScheduler> make_scheduler(
   return nullptr;
 }
 
-/// Chaos wiring shared by both pipelines: build + arm the injector and
-/// route its compute-scale hook into `serving`.
-std::unique_ptr<faults::FaultInjector> arm_faults(
-    net::FlowNetwork& network, sw::SwitchRegistry& switches,
-    const ExperimentConfig& cfg, online::HeroCommScheduler* hero,
-    serve::ServingOptions& serving) {
-  if (cfg.fault_plan.empty()) return nullptr;
-  faults::FaultInjector::Hooks hooks;
-  hooks.switches = &switches;
-  if (hero != nullptr) {
-    hooks.online = &hero->online();
-    hero->online().attach_switches(&switches);
+/// The deploy stack both pipelines serve on: simulator and sink, flow
+/// network, switch registry, collective engine, the system's scheduler,
+/// serving options with the drain budget, and the armed fault injector.
+struct DeployStack {
+  sim::Simulator simulator;
+  net::FlowNetwork network;
+  sw::SwitchRegistry switches;
+  coll::CollectiveEngine engine;
+  online::HeroCommScheduler* hero = nullptr;
+  std::unique_ptr<coll::CommScheduler> scheduler;
+  serve::ServingOptions serving;
+  std::unique_ptr<faults::FaultInjector> injector;
+
+  DeployStack(SystemKind kind, const ExperimentConfig& cfg,
+              const wl::Trace& trace)
+      : network(simulator, cfg.topology),
+        switches(simulator, cfg.topology),
+        engine(network, switches, cfg.engine),
+        serving(cfg.serving) {
+    simulator.attach(cfg.sink);
+    network.set_full_solve(cfg.netsim.full_solve);
+    if (cfg.netsim.validate_solves) network.set_solve_validation(true);
+    scheduler = make_scheduler(kind, network, cfg, &hero);
+    // The abort deadline is a *drain budget* after the last arrival; at low
+    // rates the arrival horizon itself can exceed any fixed wall.
+    serving.max_sim_time = cfg.serving.max_sim_time +
+                           (trace.empty() ? 0.0 : trace.back().arrival);
+    // Chaos wiring (fault plan present only). HeroServe's online scheduler
+    // gets the reaction hooks — switch slot-health feedback at controller
+    // ticks, immediate cost overrides on link faults; baselines feel the
+    // raw faults without any adaptation channel.
+    if (cfg.fault_plan.empty()) return;
+    faults::FaultInjector::Hooks hooks;
+    hooks.switches = &switches;
+    if (hero != nullptr) {
+      hooks.online = &hero->online();
+      hero->online().attach_switches(&switches);
+    }
+    injector = std::make_unique<faults::FaultInjector>(network,
+                                                       cfg.fault_plan, hooks);
+    serving.compute_scale = [inj = injector.get()](topo::NodeId g) {
+      return inj->compute_scale(g);
+    };
+    injector->arm();
   }
-  auto injector = std::make_unique<faults::FaultInjector>(
-      network, cfg.fault_plan, hooks);
-  serving.compute_scale = [inj = injector.get()](topo::NodeId g) {
-    return inj->compute_scale(g);
-  };
-  injector->arm();
-  return injector;
-}
 
-void apply_netsim_options(net::FlowNetwork& network,
-                          const ExperimentConfig& cfg) {
-  network.set_full_solve(cfg.netsim.full_solve);
-  if (cfg.netsim.validate_solves) network.set_solve_validation(true);
-}
-
-SimStats collect_sim_stats(const sim::Simulator& simulator,
-                           const net::FlowNetwork& network) {
-  SimStats stats;
-  stats.sim_seconds = simulator.now();
-  stats.events_executed = simulator.executed_events();
-  stats.events_scheduled = simulator.scheduled_events();
-  stats.events_cancelled = simulator.cancelled_events();
-  stats.flownet = network.stats();
-  return stats;
-}
+  [[nodiscard]] SimStats stats() const {
+    SimStats out;
+    out.sim_seconds = simulator.now();
+    out.events_executed = simulator.executed_events();
+    out.events_scheduled = simulator.scheduled_events();
+    out.events_cancelled = simulator.cancelled_events();
+    out.flownet = network.stats();
+    return out;
+  }
+};
 
 }  // namespace
 
@@ -157,35 +175,12 @@ ExperimentResult run_experiment(SystemKind kind,
   }
 
   // Deploy and serve.
-  sim::Simulator simulator;
-  simulator.attach(cfg.sink);
-  net::FlowNetwork network(simulator, cfg.topology);
-  apply_netsim_options(network, cfg);
-  sw::SwitchRegistry switches(simulator, cfg.topology);
-  coll::CollectiveEngine engine(network, switches, cfg.engine);
-
-  online::HeroCommScheduler* hero = nullptr;
-  std::unique_ptr<coll::CommScheduler> scheduler =
-      make_scheduler(kind, network, cfg, &hero);
-
-  serve::ServingOptions serving = cfg.serving;
-  // The abort deadline is a *drain budget* after the last arrival; at low
-  // rates the arrival horizon itself can exceed any fixed wall.
-  serving.max_sim_time =
-      cfg.serving.max_sim_time + (trace.empty() ? 0.0 : trace.back().arrival);
-
-  // Chaos wiring (fault plan present only). HeroServe's online scheduler
-  // gets the reaction hooks — switch slot-health feedback at controller
-  // ticks, immediate cost overrides on link faults; baselines feel the raw
-  // faults without any adaptation channel.
-  std::unique_ptr<faults::FaultInjector> injector =
-      arm_faults(network, switches, cfg, hero, serving);
-
-  serve::ClusterSim cluster(network, engine, *scheduler, result.plan,
-                            serving);
-  scheduler->start();
+  DeployStack stack(kind, cfg, trace);
+  serve::ClusterSim cluster(stack.network, stack.engine, *stack.scheduler,
+                            result.plan, stack.serving);
+  stack.scheduler->start();
   result.report = cluster.run(trace);
-  result.sim_stats = collect_sim_stats(simulator, network);
+  result.sim_stats = stack.stats();
   return result;
 }
 
@@ -215,37 +210,23 @@ FleetExperimentResult run_fleet_experiment(SystemKind kind,
     return result;
   }
 
-  sim::Simulator simulator;
-  simulator.attach(cfg.sink);
-  net::FlowNetwork network(simulator, cfg.topology);
-  apply_netsim_options(network, cfg);
-  sw::SwitchRegistry switches(simulator, cfg.topology);
-  coll::CollectiveEngine engine(network, switches, cfg.engine);
-
-  online::HeroCommScheduler* hero = nullptr;
-  std::unique_ptr<coll::CommScheduler> scheduler =
-      make_scheduler(kind, network, cfg, &hero);
-
-  serve::ServingOptions serving = cfg.serving;
-  serving.max_sim_time =
-      cfg.serving.max_sim_time + (trace.empty() ? 0.0 : trace.back().arrival);
-  std::unique_ptr<faults::FaultInjector> injector =
-      arm_faults(network, switches, cfg, hero, serving);
+  DeployStack stack(kind, cfg, trace);
 
   // Router randomness follows the experiment seed so `--seed` reruns are
   // reproducible end to end (the config's own seed offsets the stream).
   serve::FleetConfig fleet_config = cfg.fleet;
   fleet_config.router_seed += cfg.serving.seed * 0x9e3779b9ull;
 
-  serve::FleetSim fleet(network, engine, *scheduler, fleet_config, serving);
+  serve::FleetSim fleet(stack.network, stack.engine, *stack.scheduler,
+                        fleet_config, stack.serving);
   // Per-instance policy tables: one shared scheduler, prefixed group names
   // ("i2.group5") so traces and metrics stay attributable — including the
   // groups of replicas the autoscaler deploys mid-run.
   fleet.set_deploy_hooks(
-      [hero](std::size_t id) {
+      [hero = stack.hero](std::size_t id) {
         if (hero != nullptr) hero->set_group_prefix(strfmt("i{}.", id));
       },
-      [hero](std::size_t) {
+      [hero = stack.hero](std::size_t) {
         if (hero != nullptr) hero->set_group_prefix("");
       });
   for (planner::PlanResult& plan : result.plan.instances) {
@@ -259,10 +240,10 @@ FleetExperimentResult run_fleet_experiment(SystemKind kind,
     controller->start();
   }
 
-  scheduler->start();
+  stack.scheduler->start();
   result.report = fleet.run(trace);
   if (controller) result.report.autoscale = controller->stats();
-  result.sim_stats = collect_sim_stats(simulator, network);
+  result.sim_stats = stack.stats();
   return result;
 }
 

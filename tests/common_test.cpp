@@ -1,11 +1,10 @@
-// Unit tests for the common utilities: RNG, statistics, fixed point,
-// formatting, tables, and unit conversions.
+// Unit tests for the common utilities: RNG, statistics, formatting,
+// tables, and unit conversions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
-#include "common/fixed_point.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -289,68 +288,6 @@ TEST(MovingAverage, WindowedMean) {
 TEST(MovingAverage, RejectsZeroWindow) {
   EXPECT_THROW(MovingAverage(0), std::invalid_argument);
 }
-
-// --- fixed point ---
-
-TEST(FixedPoint, RoundTripSmallValues) {
-  FixedPointFormat fmt;
-  for (double v : {0.0, 1.0, -1.0, 0.5, 3.14159, -123.456}) {
-    EXPECT_NEAR(from_fixed(to_fixed(v, fmt), fmt), v, 1.0 / fmt.scale());
-  }
-}
-
-TEST(FixedPoint, EncodeSaturates) {
-  FixedPointFormat fmt{16};
-  EXPECT_EQ(to_fixed(1e12, fmt), std::numeric_limits<std::int32_t>::max());
-  EXPECT_EQ(to_fixed(-1e12, fmt), std::numeric_limits<std::int32_t>::min());
-}
-
-TEST(FixedPoint, SaturatingAdd) {
-  EXPECT_EQ(saturating_add(1, 2), 3);
-  EXPECT_EQ(saturating_add(std::numeric_limits<std::int32_t>::max(), 1),
-            std::numeric_limits<std::int32_t>::max());
-  EXPECT_EQ(saturating_add(std::numeric_limits<std::int32_t>::min(), -1),
-            std::numeric_limits<std::int32_t>::min());
-}
-
-TEST(FixedPoint, VectorAggregationMatchesFloatSum) {
-  FixedPointFormat fmt;
-  Rng rng(43);
-  std::vector<double> a(32), b(32), c(32);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal();
-    b[i] = rng.normal();
-    c[i] = rng.normal();
-  }
-  auto acc = encode_vector(a, fmt);
-  aggregate_into(acc, encode_vector(b, fmt));
-  aggregate_into(acc, encode_vector(c, fmt));
-  const auto sum = decode_vector(acc, fmt);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(sum[i], a[i] + b[i] + c[i], 3.0 / fmt.scale());
-  }
-}
-
-TEST(FixedPoint, AggregateSizeMismatchThrows) {
-  std::vector<std::int32_t> a(4, 0), b(5, 0);
-  EXPECT_THROW(aggregate_into(a, b), std::invalid_argument);
-}
-
-/// Precision property across fixed-point formats.
-class FixedPointFormatTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FixedPointFormatTest, QuantizationErrorBounded) {
-  const FixedPointFormat fmt{GetParam()};
-  Rng rng(GetParam());
-  for (int i = 0; i < 200; ++i) {
-    const double v = rng.uniform(-100.0, 100.0);
-    EXPECT_LE(std::abs(from_fixed(to_fixed(v, fmt), fmt) - v),
-              0.5 / fmt.scale() + 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(FracBits, FixedPointFormatTest,
-                         ::testing::Values(8, 12, 16, 20));
 
 // --- format ---
 

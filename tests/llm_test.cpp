@@ -67,5 +67,17 @@ TEST(ModelConfig, LargerModelsCostMore) {
   EXPECT_GT(opt_66b().param_bytes(), opt_13b().param_bytes());
 }
 
+
+TEST(CommPrecision, Int8HalvesSyncVolume) {
+  const ModelConfig fp16 = opt_66b();
+  const ModelConfig int8 = fp16.with_int8_comm();
+  EXPECT_DOUBLE_EQ(raw(int8.sync_volume_per_step(1000)),
+                   raw(0.5 * fp16.sync_volume_per_step(1000)));
+  // Weights and KV cache stay at the compute precision.
+  EXPECT_DOUBLE_EQ(raw(int8.param_bytes()), raw(fp16.param_bytes()));
+  EXPECT_DOUBLE_EQ(raw(int8.kv_bytes_per_token()),
+                   raw(fp16.kv_bytes_per_token()));
+}
+
 }  // namespace
 }  // namespace hero::llm

@@ -1,134 +1,15 @@
-// Tests for the packetized INA transport: numerical correctness of the
-// fixed-point data plane under windowing, packet loss, retransmission, and
-// shared-pool pressure — plus trace file I/O and the PCIe future-work
-// topology mode.
+// Tests for trace file I/O and the PCIe future-work topology mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
-#include "switchsim/ina_transport.hpp"
 #include "topology/builders.hpp"
 #include "topology/paths.hpp"
 #include "workload/trace_io.hpp"
 
 namespace hero {
 namespace {
-
-// --- InaTransport ---
-
-std::vector<std::vector<double>> random_workers(std::size_t workers,
-                                                std::size_t length,
-                                                std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> out(workers);
-  for (auto& w : out) {
-    w.resize(length);
-    for (double& v : w) v = rng.uniform(-5.0, 5.0);
-  }
-  return out;
-}
-
-TEST(InaTransport, LosslessMatchesReference) {
-  sw::AggregatorPool pool(64, 16);
-  sw::InaTransport transport(pool, 1, random_workers(4, 300, 7));
-  const sw::InaTransportStats stats = transport.run();
-  ASSERT_TRUE(stats.completed);
-  EXPECT_EQ(stats.packets_lost, 0u);
-  EXPECT_EQ(stats.retransmissions, 0u);
-  const auto ref = transport.reference();
-  const auto& got = transport.result();
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-3) << "element " << i;
-  }
-}
-
-TEST(InaTransport, ChunkCountCoversTensor) {
-  sw::AggregatorPool pool(64, 16);
-  sw::InaTransport transport(pool, 1, random_workers(2, 100, 3));
-  EXPECT_EQ(transport.chunk_count(), 7u);  // ceil(100/16)
-}
-
-TEST(InaTransport, SurvivesHeavyPacketLoss) {
-  sw::AggregatorPool pool(64, 16);
-  sw::InaTransportOptions opts;
-  opts.packet_loss = 0.4;
-  sw::InaTransport transport(pool, 1, random_workers(3, 200, 11), opts, 5);
-  const sw::InaTransportStats stats = transport.run();
-  ASSERT_TRUE(stats.completed);
-  EXPECT_GT(stats.packets_lost, 0u);
-  EXPECT_GT(stats.retransmissions, 0u);
-  const auto ref = transport.reference();
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(transport.result()[i], ref[i], 1e-3);
-  }
-}
-
-TEST(InaTransport, WindowBoundsSlotUsage) {
-  sw::AggregatorPool pool(64, 16);
-  sw::InaTransportOptions opts;
-  opts.window_slots = 2;
-  sw::InaTransport transport(pool, 1, random_workers(2, 320, 13), opts);
-  const sw::InaTransportStats stats = transport.run();
-  EXPECT_TRUE(stats.completed);
-  // 20 chunks through a 2-slot window -> at least 10 protocol rounds.
-  EXPECT_GE(stats.rounds, 10u);
-  EXPECT_EQ(pool.slots_in_use(), 0u);  // all recycled
-}
-
-TEST(InaTransport, SharedPoolTenantsBothComplete) {
-  // Two jobs share a pool smaller than their combined windows.
-  sw::AggregatorPool pool(24, 16);
-  sw::InaTransportOptions opts;
-  opts.window_slots = 16;
-  sw::InaTransport a(pool, 1, random_workers(2, 256, 17), opts, 1);
-  sw::InaTransport b(pool, 2, random_workers(2, 256, 19), opts, 2);
-  // Run alternately chunk-window by chunk-window is not possible with the
-  // synchronous API; run one after the other — the second must still find
-  // a clean pool.
-  EXPECT_TRUE(a.run().completed);
-  EXPECT_TRUE(b.run().completed);
-  EXPECT_EQ(pool.slots_in_use(), 0u);
-}
-
-TEST(InaTransport, ValidatesInputs) {
-  sw::AggregatorPool pool(8, 16);
-  EXPECT_THROW(sw::InaTransport(pool, 1, {}), std::invalid_argument);
-  EXPECT_THROW(
-      sw::InaTransport(pool, 1, {{1.0, 2.0}, {1.0}}),
-      std::invalid_argument);
-  sw::InaTransportOptions opts;
-  opts.window_slots = 0;
-  EXPECT_THROW(sw::InaTransport(pool, 1, {{1.0}}, opts),
-               std::invalid_argument);
-}
-
-/// Property: correctness holds across worker counts and loss rates.
-class InaTransportSweep
-    : public ::testing::TestWithParam<std::tuple<int, double>> {};
-
-TEST_P(InaTransportSweep, AlwaysMatchesReference) {
-  const auto [workers, loss] = GetParam();
-  sw::AggregatorPool pool(64, 32);
-  sw::InaTransportOptions opts;
-  opts.packet_loss = loss;
-  sw::InaTransport transport(pool, 9,
-                             random_workers(workers, 500, 23 + workers),
-                             opts, 31);
-  const sw::InaTransportStats stats = transport.run();
-  ASSERT_TRUE(stats.completed);
-  const auto ref = transport.reference();
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_NEAR(transport.result()[i], ref[i],
-                workers * 1.0 / (1 << 15));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, InaTransportSweep,
-    ::testing::Combine(::testing::Values(2, 4, 8),
-                       ::testing::Values(0.0, 0.1, 0.3)));
 
 // --- trace I/O ---
 

@@ -150,6 +150,43 @@ TEST(Diurnal, ModulatesRateAroundTheMean) {
   EXPECT_GT(peak_half, trough_half + trough_half / 2);
 }
 
+TEST(Diurnal, PreservesMeanRate) {
+  DiurnalOptions opts;
+  opts.base.rate = 10.0;
+  opts.base.count = 8000;
+  opts.period = 100.0;
+  opts.amplitude = 0.6;
+  const Trace t = generate_diurnal_trace(opts);
+  EXPECT_NEAR(raw(summarize(t).mean_rate), raw(10.0), 1.0);
+}
+
+TEST(Diurnal, RateOscillatesWithPeriod) {
+  DiurnalOptions opts;
+  opts.base.rate = 50.0;
+  opts.base.count = 20000;
+  opts.period = 100.0;
+  opts.amplitude = 0.8;
+  const Trace t = generate_diurnal_trace(opts);
+  // Count arrivals in the first vs second half of each cycle: the sine's
+  // positive half must carry clearly more traffic.
+  std::size_t first_half = 0, second_half = 0;
+  for (const Request& r : t) {
+    const double phase =
+        std::fmod(raw(r.arrival), raw(opts.period)) / raw(opts.period);
+    (phase < 0.5 ? first_half : second_half) += 1;
+  }
+  EXPECT_GT(first_half, second_half * 1.5);
+}
+
+TEST(Diurnal, Validation) {
+  DiurnalOptions opts;
+  opts.amplitude = 1.5;
+  EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument);
+  opts.amplitude = 0.5;
+  opts.period = 0.0;
+  EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument);
+}
+
 TEST(FlashCrowd, DeterministicForSeed) {
   FlashCrowdOptions opts;
   opts.base.rate = 3.0;

@@ -363,11 +363,10 @@ const std::vector<std::string>& entry_classes() {
   // engines, fault replay. Mirrors the table in DESIGN.md
   // ("Whole-program analysis").
   static const std::vector<std::string> kEntryClasses = {
-      "AggregatorPool",   "ClusterSim",     "CollectiveEngine",
-      "FaultInjector",    "FleetSim",       "HeroCommScheduler",
-      "InaTransport",     "OnlineScheduler", "Router",
-      "Simulator",        "StaticCommScheduler", "SwitchAgent",
-      "SwitchRegistry"};
+      "ClusterSim",       "CollectiveEngine", "FaultInjector",
+      "FleetSim",         "HeroCommScheduler", "OnlineScheduler",
+      "Router",           "Simulator",        "StaticCommScheduler",
+      "SwitchAgent",      "SwitchRegistry"};
   return kEntryClasses;
 }
 
