@@ -35,8 +35,8 @@ enum class Scheme : std::uint8_t { kRing, kInaSync, kInaAsync };
 
 [[nodiscard]] const char* to_string(Scheme scheme);
 
-/// Path lookup used by plan builders; implementations: static planner
-/// PathStore, online scheduler dynamic choice, Ethernet-only baselines.
+/// Path lookup used by plan builders; implementations: static shortest
+/// paths, online scheduler dynamic choice, Ethernet-only baselines.
 using Router = std::function<topo::Path(topo::NodeId, topo::NodeId)>;
 
 struct AllReducePlan {

@@ -4,7 +4,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
-#include <thread>
+#include <future>
 
 #include "gpusim/gpu_spec.hpp"
 
@@ -21,6 +21,13 @@ topo::PathConstraints constraints_for(bool heterogeneous) {
   return topo::PathConstraints{heterogeneous, true,
                                /*allow_nvlink_direct=*/!heterogeneous};
 }
+
+/// A planning query named a pair with no route under the planner's
+/// constraints (a partitioned graph). plan() catches it and marks the
+/// candidate infeasible.
+struct NoRoute : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Reference GPU for the fitted latency model.
 const gpu::GpuSpec& reference_spec() {
@@ -91,27 +98,36 @@ OfflinePlanner::OfflinePlanner(PlannerInputs inputs) : in_(std::move(inputs)) {
   if (in_.graph == nullptr || in_.latency == nullptr) {
     throw std::invalid_argument("OfflinePlanner: graph/latency required");
   }
-  // Offline precomputation of the pairwise shortest-path store D_(i,j) /
-  // P_(k,a) (Alg. 2 lines 1-3). Terminals: every GPU and switch.
-  std::vector<topo::NodeId> terminals = in_.graph->gpus();
-  for (topo::NodeId sw : in_.graph->switches()) terminals.push_back(sw);
+  // D_(i,j) / P_(k,a) (Alg. 2 lines 1-3), solved per source on first use.
   topo::PathOptions opts;
   opts.constraints = constraints_for(in_.heterogeneous);
   opts.ref_bytes =
       std::max<Bytes>(in_.model.sync_volume_per_step(
                           std::max<std::size_t>(in_.k_in, 1)),
                       64.0 * units::KiB);
-  paths_.emplace(*in_.graph, std::move(terminals), opts);
+  paths_.emplace(*in_.graph, opts);
 
   // The aggregation-switch elections use the default 1 MiB reference (the
   // election is a route-quality ranking, not a volume estimate), so the
-  // oracle gets its own options rather than the path store's.
+  // oracle gets its own options rather than the planning paths'.
   topo::PathOptions election;
   election.constraints = constraints_for(in_.heterogeneous);
   oracle_.emplace(*in_.graph, election);
 }
 
-const topo::PathStore& OfflinePlanner::paths() const { return *paths_; }
+topo::Path OfflinePlanner::route(topo::NodeId src, topo::NodeId dst) const {
+  std::optional<topo::Path> p = paths_->path(src, dst);
+  if (!p) {
+    throw NoRoute("no route between " + in_.graph->node(src).name + " and " +
+                  in_.graph->node(dst).name);
+  }
+  return *std::move(p);
+}
+
+Time OfflinePlanner::route_latency(topo::NodeId src, topo::NodeId dst,
+                                   Bytes bytes) const {
+  return route(src, dst).latency(*in_.graph, bytes);
+}
 
 std::vector<CandidateConfig> OfflinePlanner::generate_candidates() const {
   const Bytes model_bytes = in_.model.param_bytes();
@@ -227,7 +243,7 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
     std::vector<topo::Path> ring;
     ring.reserve(wide.size());
     for (std::size_t i = 0; i < wide.size(); ++i) {
-      ring.push_back(paths_->path(wide[i], wide[(i + 1) % wide.size()]));
+      ring.push_back(route(wide[i], wide[(i + 1) % wide.size()]));
     }
     return coll::ring_all_reduce_latency_on_paths(g, ring, step_volume);
   };
@@ -242,13 +258,13 @@ GroupPlan OfflinePlanner::score_group(const std::vector<topo::NodeId>& gpus,
       for (topo::NodeId m : ordered) {
         const Bytes shard =
             step_volume / group_size[g.node(m).gpu.server];
-        col = std::max(col, paths_->latency(m, sw, shard));
-        dis = std::max(dis, paths_->latency(sw, m, shard));
+        col = std::max(col, route_latency(m, sw, shard));
+        dis = std::max(dis, route_latency(sw, m, shard));
       }
     } else {
       for (topo::NodeId m : wide) {
-        col = std::max(col, paths_->latency(m, sw, step_volume));
-        dis = std::max(dis, paths_->latency(sw, m, step_volume));
+        col = std::max(col, route_latency(m, sw, step_volume));
+        dis = std::max(dis, route_latency(sw, m, step_volume));
       }
     }
     return col + in_.comm_cost.agg_latency + dis;
@@ -320,7 +336,7 @@ OfflinePlanner::ClusterEstimate OfflinePlanner::estimate_cluster(
   for (std::size_t i = 0; i < chosen.size(); ++i) {
     for (std::size_t j = 0; j < chosen.size(); ++j) {
       matrix_data[i * chosen.size() + j] =
-          i == j ? 0.0 : paths_->latency(chosen[i], chosen[j], step_volume);
+          i == j ? 0.0 : route_latency(chosen[i], chosen[j], step_volume);
     }
   }
   const LatencyMatrix matrix(chosen, std::move(matrix_data));
@@ -362,7 +378,7 @@ OfflinePlanner::ClusterEstimate OfflinePlanner::estimate_cluster(
       Time worst_receiver = 0.0;
       for (topo::NodeId k : est.plan.stages[s + 1].gpus) {
         worst_receiver =
-            std::max(worst_receiver, paths_->latency(a, k, step_volume));
+            std::max(worst_receiver, route_latency(a, k, step_volume));
       }
       best_sender = std::min(best_sender, worst_receiver);
     }
@@ -419,7 +435,7 @@ Time OfflinePlanner::kv_transfer_latency(const ClusterPlan& prefill,
     const std::size_t j = i * dec.size() / pre.size();
     // KV streams are pipelined RDMA flows: end-to-end bottleneck rate, not
     // per-hop store-and-forward.
-    const topo::Path& path = paths_->path(pre[i], dec[j]);
+    const topo::Path path = route(pre[i], dec[j]);
     const Bandwidth bw = path.bottleneck(*in_.graph);
     Time latency = bw > 0 ? volume / bw : 0.0;
     for (topo::EdgeId e : path.edges) latency += in_.graph->edge(e).latency;
@@ -472,22 +488,34 @@ PlanResult OfflinePlanner::plan() {
 
     // Alg. 1: prefill and decode clusters estimated concurrently. The
     // decode worker additionally searches the largest TPOT-feasible batch
-    // (descending powers of two from the memory cap).
+    // (descending powers of two from the memory cap). A pair with no route
+    // makes that cluster, and so the candidate, infeasible.
+    auto estimate = [&](bool is_prefill, ParallelConfig parallel,
+                        const std::vector<topo::NodeId>& pool, Rng& r,
+                        std::size_t q) {
+      try {
+        return estimate_cluster(is_prefill, parallel, pool, r, q);
+      } catch (const NoRoute& e) {
+        ClusterEstimate est;
+        est.reason = e.what();
+        return est;
+      }
+    };
     ClusterEstimate pre_est, dec_est;
     std::size_t q_dec = 1;
     {
       Rng pre_rng = rng.fork();
       Rng dec_rng = rng.fork();
-      std::jthread pre_thread([&] {
-        pre_est = estimate_cluster(true, cand.prefill, pools.prefill,
-                                   pre_rng);
+      // Any other exception reaches plan()'s caller from get(), once both
+      // workers have finished (the futures' destructors wait for them).
+      auto pre_worker = std::async(std::launch::async, [&] {
+        pre_est = estimate(true, cand.prefill, pools.prefill, pre_rng, 1);
       });
-      std::jthread dec_thread([&] {
+      auto dec_worker = std::async(std::launch::async, [&] {
         std::size_t q = 1;
         while (q * 2 <= q_cap) q *= 2;
         for (;; q /= 2) {
-          dec_est = estimate_cluster(false, cand.decode, pools.decode,
-                                     dec_rng, q);
+          dec_est = estimate(false, cand.decode, pools.decode, dec_rng, q);
           if (!dec_est.feasible) return;
           if (dec_est.plan.t_net + dec_est.plan.t_comp <=
                   in_.t_sla_decode ||
@@ -497,6 +525,8 @@ PlanResult OfflinePlanner::plan() {
           }
         }
       });
+      pre_worker.get();
+      dec_worker.get();
     }
     if (!pre_est.feasible || !dec_est.feasible) {
       if (best.infeasible_reason == "no candidate evaluated") {
@@ -508,7 +538,15 @@ PlanResult OfflinePlanner::plan() {
     }
     best.perturbation_swaps += pre_est.swaps + dec_est.swaps;
 
-    const Time t_kv = kv_transfer_latency(pre_est.plan, dec_est.plan);
+    Time t_kv = 0.0;
+    try {
+      t_kv = kv_transfer_latency(pre_est.plan, dec_est.plan);
+    } catch (const NoRoute& e) {
+      if (best.infeasible_reason == "no candidate evaluated") {
+        best.infeasible_reason = std::string("kv transfer: ") + e.what();
+      }
+      continue;
+    }
     const Time t_pre = pre_est.plan.t_net + pre_est.plan.t_comp;  // Eq. 3
     const Time t_dec =
         dec_est.plan.t_net + dec_est.plan.t_comp + t_kv;  // Eq. 4

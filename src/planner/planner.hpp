@@ -7,8 +7,9 @@
 // H = 1/T_req subject to the TTFT/TPOT SLAs.
 //
 // Heuristics as in the paper:
-//  * offline all-pairs shortest paths / latency matrices (computed on
-//    background threads at construction — the "asynchronous processing");
+//  * shortest paths / latency matrices D_(i,j) and P_(k,a) (Alg. 2 lines
+//    1-3) solved on first use and memoised per source by a thread-safe
+//    topo::PathOracle, so only the sources a plan touches are searched;
 //  * candidate (P_tens, P_pipe) combinations bounded by the per-GPU memory
 //    requirement m_req = R / (P_t * P_p * R_frac), at most `max_candi`;
 //  * per-candidate prefill and decode estimation on two concurrent worker
@@ -152,10 +153,6 @@ class OfflinePlanner {
   /// (Alg. 1 `gen_tp_pp_candi`), exposed for tests.
   [[nodiscard]] std::vector<CandidateConfig> generate_candidates() const;
 
-  /// The offline path stores (asynchronously precomputed). Heterogeneous
-  /// when inputs.heterogeneous, Ethernet-only otherwise.
-  [[nodiscard]] const topo::PathStore& paths() const;
-
  private:
   struct ClusterEstimate {
     bool feasible = false;
@@ -165,10 +162,20 @@ class OfflinePlanner {
   };
 
   PlannerInputs in_;
-  std::optional<topo::PathStore> paths_;
-  /// Memoized per-source Dijkstra shared by every aggregation-switch
-  /// election score_group() runs (one solve per distinct member, total).
+  /// Every D_(i,j), ring, INA collect/distribute, pipeline and KV-pairing
+  /// query, weighed at the K_in sync volume. Heterogeneous when
+  /// inputs.heterogeneous, Ethernet-only (plus direct NVLink) otherwise.
+  std::optional<topo::PathOracle> paths_;
+  /// Aggregation-switch elections, weighed at a 1 MiB reference: a
+  /// different reference ranks routes differently, so the two oracles
+  /// cannot be merged without changing plans.
   std::optional<topo::PathOracle> oracle_;
+
+  /// Planning route src -> dst; throws when the pair has no route, which
+  /// plan() turns into an infeasible candidate naming both nodes.
+  [[nodiscard]] topo::Path route(topo::NodeId src, topo::NodeId dst) const;
+  [[nodiscard]] Time route_latency(topo::NodeId src, topo::NodeId dst,
+                                   Bytes bytes) const;
 
   /// `q_dec` sizes the decode cluster's batch-dependent terms (context
   /// tokens and sync volumes); ignored for prefill.

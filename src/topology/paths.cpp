@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 
 namespace hero::topo {
 
@@ -153,74 +152,65 @@ std::optional<Path> direct_nvlink(const Graph& g, NodeId src, NodeId dst) {
   return std::nullopt;
 }
 
+/// The src -> dst route out of src's Dijkstra, with the homogeneous
+/// baselines' direct-NVLink override applied. Shared by shortest_path() and
+/// PathOracle::path(), which is what keeps the two bit-identical.
+std::optional<Path> route(const Graph& g, const SearchResult& r, NodeId src,
+                          NodeId dst, const PathOptions& opts) {
+  std::optional<Path> found = extract_path(r, src, dst);
+  if (opts.constraints.allow_nvlink || !opts.constraints.allow_nvlink_direct) {
+    return found;
+  }
+  std::optional<Path> direct = direct_nvlink(g, src, dst);
+  if (direct && (!found || direct->latency(g, opts.ref_bytes,
+                                           opts.residual_bw) <
+                               found->latency(g, opts.ref_bytes,
+                                              opts.residual_bw))) {
+    return direct;
+  }
+  return found;
+}
+
 }  // namespace
 
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
                                   const PathOptions& opts) {
   if (src == dst) return Path{{src}, {}};
-  const SearchResult r = dijkstra(g, src, opts, {});
-  std::optional<Path> found = extract_path(r, src, dst);
-  if (!opts.constraints.allow_nvlink && opts.constraints.allow_nvlink_direct) {
-    if (auto direct = direct_nvlink(g, src, dst)) {
-      if (!found ||
-          direct->latency(g, opts.ref_bytes, opts.residual_bw) <
-              found->latency(g, opts.ref_bytes, opts.residual_bw)) {
-        return direct;
-      }
-    }
-  }
-  return found;
+  return route(g, dijkstra(g, src, opts, {}), src, dst, opts);
 }
 
 PathOracle::PathOracle(const Graph& g, const PathOptions& opts)
-    : graph_(&g), opts_(opts) {
+    : graph_(&g), opts_(opts), slots_(g.node_count()) {
   // Snapshot residual bandwidth so the oracle stays valid after caller
-  // mutations (same contract as PathStore).
+  // mutations.
   residual_copy_.assign(opts.residual_bw.begin(), opts.residual_bw.end());
   opts_.residual_bw = residual_copy_;
-  cache_.resize(g.node_count());
 }
 
 PathOracle::~PathOracle() = default;
-PathOracle::PathOracle(PathOracle&&) noexcept = default;
-PathOracle& PathOracle::operator=(PathOracle&&) noexcept = default;
 
 const detail::Sssp& PathOracle::solved(NodeId src) const {
-  std::unique_ptr<detail::Sssp>& slot = cache_[src];
-  if (!slot) {
-    slot = std::make_unique<detail::Sssp>(dijkstra(*graph_, src, opts_, {}));
-  }
-  return *slot;
+  // The planner's prefill and decode threads query the same sources (the
+  // elected switches); call_once makes the first caller solve and the rest
+  // wait for its result.
+  Slot& slot = slots_.at(src);
+  std::call_once(slot.once, [&] {
+    slot.sssp =
+        std::make_unique<detail::Sssp>(dijkstra(*graph_, src, opts_, {}));
+    ++sources_solved_;
+  });
+  return *slot.sssp;
 }
 
 std::optional<Path> PathOracle::path(NodeId src, NodeId dst) const {
-  // Mirrors shortest_path() exactly (bit-identical paths), with the
-  // per-source Dijkstra answered from the cache.
   if (src == dst) return Path{{src}, {}};
-  std::optional<Path> found = extract_path(solved(src), src, dst);
-  if (!opts_.constraints.allow_nvlink &&
-      opts_.constraints.allow_nvlink_direct) {
-    if (auto direct = direct_nvlink(*graph_, src, dst)) {
-      if (!found ||
-          direct->latency(*graph_, opts_.ref_bytes, opts_.residual_bw) <
-              found->latency(*graph_, opts_.ref_bytes, opts_.residual_bw)) {
-        return direct;
-      }
-    }
-  }
-  return found;
+  return route(*graph_, solved(src), src, dst, opts_);
 }
 
 Time PathOracle::latency(NodeId src, NodeId dst, Bytes bytes) const {
   const std::optional<Path> p = path(src, dst);
   if (!p) return std::numeric_limits<Time>::infinity();
   return p->latency(*graph_, bytes, opts_.residual_bw);
-}
-
-std::size_t PathOracle::sources_solved() const {
-  std::size_t n = 0;
-  for (const auto& slot : cache_) n += slot != nullptr;
-  return n;
 }
 
 std::vector<Path> alternate_paths(const Graph& g, NodeId src, NodeId dst,
@@ -240,63 +230,6 @@ std::vector<Path> alternate_paths(const Graph& g, NodeId src, NodeId dst,
     if (!duplicate) result.push_back(std::move(*path));
   }
   return result;
-}
-
-PathStore::PathStore(const Graph& g, std::vector<NodeId> terminals,
-                     const PathOptions& opts)
-    : graph_(&g), terminals_(std::move(terminals)) {
-  // Snapshot residual bandwidth so the store stays valid after caller
-  // mutations.
-  residual_copy_.assign(opts.residual_bw.begin(), opts.residual_bw.end());
-
-  terminal_index_.assign(g.node_count(), -1);
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    terminal_index_[terminals_[i]] = static_cast<std::int32_t>(i);
-  }
-  const bool direct_override = !opts.constraints.allow_nvlink &&
-                               opts.constraints.allow_nvlink_direct;
-  paths_.assign(terminals_.size(), {});
-  for (std::size_t i = 0; i < terminals_.size(); ++i) {
-    paths_[i].assign(terminals_.size(), std::nullopt);
-    const SearchResult r = dijkstra(g, terminals_[i], opts, {});
-    for (std::size_t j = 0; j < terminals_.size(); ++j) {
-      if (i == j) {
-        paths_[i][j] = Path{{terminals_[i]}, {}};
-        continue;
-      }
-      paths_[i][j] = extract_path(r, terminals_[i], terminals_[j]);
-      if (direct_override) {
-        if (auto direct = direct_nvlink(g, terminals_[i], terminals_[j])) {
-          if (!paths_[i][j] ||
-              direct->latency(g, opts.ref_bytes, residual_copy_) <
-                  paths_[i][j]->latency(g, opts.ref_bytes, residual_copy_)) {
-            paths_[i][j] = std::move(direct);
-          }
-        }
-      }
-    }
-  }
-}
-
-std::size_t PathStore::index_of(NodeId node) const {
-  if (node >= terminal_index_.size() || terminal_index_[node] < 0) {
-    throw std::out_of_range("PathStore: node is not a terminal");
-  }
-  return static_cast<std::size_t>(terminal_index_[node]);
-}
-
-bool PathStore::reachable(NodeId src, NodeId dst) const {
-  return paths_[index_of(src)][index_of(dst)].has_value();
-}
-
-const Path& PathStore::path(NodeId src, NodeId dst) const {
-  const auto& p = paths_[index_of(src)][index_of(dst)];
-  if (!p) throw std::out_of_range("PathStore: unreachable pair");
-  return *p;
-}
-
-Time PathStore::latency(NodeId src, NodeId dst, Bytes bytes) const {
-  return path(src, dst).latency(*graph_, bytes, residual_copy_);
 }
 
 }  // namespace hero::topo

@@ -15,7 +15,9 @@
 // `allow_nvlink = false`, which restricts them to pure Ethernet routes.
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -80,19 +82,20 @@ namespace detail {
 struct Sssp;  // single-source Dijkstra result (defined in paths.cpp)
 }  // namespace detail
 
-/// Memoized single-source shortest-path queries over a fixed graph and
-/// options. The Dijkstra underneath shortest_path() is target-independent,
-/// so one solve per distinct source answers every (src, dst) query with a
-/// path bit-identical to a fresh shortest_path() call. Turns the planner's
-/// group-scoring loop from one Dijkstra per (member, switch) probe into one
-/// per distinct member. Only valid while the graph outlives the oracle;
-/// `opts.residual_bw` is snapshotted at construction.
+/// Memoized shortest-path queries over a fixed graph and options: the
+/// planner's `D_(i,j)` latency matrix and `P_(k,a)` path store (Alg. 2 lines
+/// 1-3), solved on first use instead of precomputed. The Dijkstra underneath
+/// shortest_path() is target-independent, so one solve per distinct source
+/// answers every (src, dst) query with a path bit-identical to a fresh
+/// shortest_path() call. Safe to query from several threads at once: each
+/// source is solved exactly once. Only valid while the graph outlives the
+/// oracle; `opts.residual_bw` is snapshotted at construction.
 class PathOracle {
  public:
   explicit PathOracle(const Graph& g, const PathOptions& opts = {});
   ~PathOracle();
-  PathOracle(PathOracle&&) noexcept;
-  PathOracle& operator=(PathOracle&&) noexcept;
+  PathOracle(const PathOracle&) = delete;
+  PathOracle& operator=(const PathOracle&) = delete;
 
   /// Same contract as shortest_path(g, src, dst, opts).
   [[nodiscard]] std::optional<Path> path(NodeId src, NodeId dst) const;
@@ -101,42 +104,23 @@ class PathOracle {
   [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   /// Distinct sources solved so far (cache effectiveness / tests).
-  [[nodiscard]] std::size_t sources_solved() const;
-
- private:
-  const Graph* graph_;
-  PathOptions opts_;
-  std::vector<Bandwidth> residual_copy_;
-  mutable std::vector<std::unique_ptr<detail::Sssp>> cache_;  // per source
-
-  [[nodiscard]] const detail::Sssp& solved(NodeId src) const;
-};
-
-/// All-pairs shortest paths among `terminals` (the planner's offline
-/// `P_(k,a)` path store and `D_(i,j)` latency matrix).
-class PathStore {
- public:
-  PathStore(const Graph& g, std::vector<NodeId> terminals,
-            const PathOptions& opts = {});
-
-  [[nodiscard]] bool reachable(NodeId src, NodeId dst) const;
-  /// Throws std::out_of_range when src/dst is not a terminal or unreachable.
-  [[nodiscard]] const Path& path(NodeId src, NodeId dst) const;
-  /// Store-and-forward latency for a transfer of `bytes` (Eq. 10) along the
-  /// stored shortest path.
-  [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
-  [[nodiscard]] std::span<const NodeId> terminals() const {
-    return terminals_;
+  [[nodiscard]] std::size_t sources_solved() const {
+    return sources_solved_;
   }
 
  private:
-  const Graph* graph_;
-  std::vector<NodeId> terminals_;
-  std::vector<std::int32_t> terminal_index_;  // node id -> index or -1
-  std::vector<std::vector<std::optional<Path>>> paths_;
-  std::vector<Bandwidth> residual_copy_;
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<detail::Sssp> sssp;
+  };
 
-  [[nodiscard]] std::size_t index_of(NodeId node) const;
+  const Graph* graph_;
+  PathOptions opts_;
+  std::vector<Bandwidth> residual_copy_;
+  mutable std::vector<Slot> slots_;  // per source, filled once on first use
+  mutable std::atomic<std::size_t> sources_solved_{0};
+
+  [[nodiscard]] const detail::Sssp& solved(NodeId src) const;
 };
 
 }  // namespace hero::topo

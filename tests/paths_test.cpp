@@ -1,8 +1,10 @@
 // Tests for shortest paths, routing constraints (the GPU-relay rule), path
-// latency math — including the paper's Fig. 2 numbers — and the PathStore.
+// latency math — including the paper's Fig. 2 numbers — and the memoizing
+// PathOracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "topology/builders.hpp"
@@ -182,14 +184,16 @@ TEST(NvlinkDirect, PrefersCheaperOfDirectAndEthernet) {
   EXPECT_FALSE(p->uses_nvlink(g));
 }
 
-TEST(NvlinkDirect, PathStoreAppliesOverride) {
+TEST(NvlinkDirect, PathOracleAppliesOverride) {
   const Graph g = make_fig2_example();
   PathOptions opts;
   opts.constraints.allow_nvlink = false;
   opts.constraints.allow_nvlink_direct = true;
-  const PathStore store(g, g.gpus(), opts);
-  EXPECT_EQ(store.path(g.find("GN1"), g.find("GN2")).hops(), 1u);
-  EXPECT_TRUE(store.path(g.find("GN1"), g.find("GN2")).uses_nvlink(g));
+  const PathOracle oracle(g, opts);
+  const auto p = oracle.path(g.find("GN1"), g.find("GN2"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->hops(), 1u);
+  EXPECT_TRUE(p->uses_nvlink(g));
 }
 
 TEST(AlternatePaths, ReturnsDistinctRoutes) {
@@ -223,37 +227,14 @@ TEST(AlternatePaths, ZeroKReturnsEmpty) {
   EXPECT_TRUE(alternate_paths(g, g.find("g0"), g.find("g1"), 0).empty());
 }
 
-TEST(PathStore, MatchesSinglePairQueries) {
-  const Graph g = make_testbed();
-  std::vector<NodeId> terminals = g.gpus();
-  for (NodeId sw : g.switches()) terminals.push_back(sw);
-  const PathStore store(g, terminals);
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 6; ++j) {
-      const auto single = shortest_path(g, terminals[i], terminals[j]);
-      ASSERT_TRUE(single.has_value());
-      EXPECT_NEAR(raw(store.latency(terminals[i], terminals[j],
-                                    1 * units::MB)),
-                  raw(single->latency(g, 1 * units::MB)),
-                  raw(2 * units::us))
-          << "pair " << i << "," << j;
-    }
-  }
-}
-
-TEST(PathStore, SelfPathIsEmpty) {
+TEST(PathOracle, SelfPathIsEmpty) {
   const Graph g = line_graph();
-  const PathStore store(g, g.gpus());
-  EXPECT_TRUE(store.path(g.find("g0"), g.find("g0")).empty());
-  EXPECT_DOUBLE_EQ(raw(store.latency(g.find("g0"), g.find("g0"), 1e6)),
+  const PathOracle oracle(g);
+  const auto p = oracle.path(g.find("g0"), g.find("g0"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_TRUE(p->empty());
+  EXPECT_DOUBLE_EQ(raw(oracle.latency(g.find("g0"), g.find("g0"), 1e6)),
                    raw(0.0));
-}
-
-TEST(PathStore, NonTerminalThrows) {
-  const Graph g = line_graph();
-  const PathStore store(g, g.gpus());
-  EXPECT_THROW((void)store.path(g.find("g0"), g.find("s0")),
-               std::out_of_range);
 }
 
 TEST(PathOracle, MatchesSinglePairQueriesExactly) {
@@ -306,14 +287,43 @@ TEST(PathOracle, UnreachableLatencyIsInfinite) {
   EXPECT_TRUE(std::isinf(raw(oracle.latency(gpus[0], far, units::MiB))));
 }
 
-TEST(PathStore, RespectsResidualBandwidth) {
+TEST(PathOracle, ConcurrentQueriesSolveEachSourceOnce) {
+  // The planner's prefill and decode threads query overlapping sources on
+  // one oracle: every source must be solved exactly once and both threads
+  // must see the same routes.
+  const Graph g = make_testbed();
+  const PathOracle oracle(g);
+  std::vector<NodeId> sources = g.switches();
+  const auto gpus = g.gpus();
+  sources.insert(sources.end(), gpus.begin(), gpus.begin() + 4);
+  std::vector<std::optional<Path>> seen[2];
+  auto query = [&](std::size_t t) {
+    for (NodeId src : sources) {
+      for (NodeId dst : gpus) seen[t].push_back(oracle.path(src, dst));
+    }
+  };
+  {
+    std::jthread a(query, 0);
+    std::jthread b(query, 1);
+  }
+  ASSERT_EQ(seen[0].size(), seen[1].size());
+  for (std::size_t i = 0; i < seen[0].size(); ++i) {
+    ASSERT_EQ(seen[0][i].has_value(), seen[1][i].has_value()) << i;
+    if (!seen[0][i]) continue;
+    EXPECT_EQ(seen[0][i]->nodes, seen[1][i]->nodes) << i;
+    EXPECT_EQ(seen[0][i]->edges, seen[1][i]->edges) << i;
+  }
+  EXPECT_EQ(oracle.sources_solved(), sources.size());
+}
+
+TEST(PathOracle, RespectsResidualBandwidth) {
   const Graph g = line_graph();
   std::vector<Bandwidth> residual(g.edge_count(), 100 * units::Gbps);
   residual[1] = 10 * units::Gbps;  // congested middle hop
   PathOptions opts;
   opts.residual_bw = residual;
-  const PathStore store(g, g.gpus(), opts);
-  const Time t = store.latency(g.find("g0"), g.find("g1"), 1.0 * units::MB);
+  const PathOracle oracle(g, opts);
+  const Time t = oracle.latency(g.find("g0"), g.find("g1"), 1.0 * units::MB);
   // 80us + 800us + 80us + 3us hop latencies.
   EXPECT_NEAR(raw(t), raw(963.0 * units::us), raw(1.0 * units::us));
 }
@@ -344,17 +354,17 @@ TEST_P(RandomGraphTest, MetricProperties) {
                  rng.uniform(10, 100) * units::Gbps);
     }
   }
-  const PathStore store(g, nodes);
+  const PathOracle oracle(g);
   const Bytes bytes = 1.0 * units::MB;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      const Time dij = store.latency(nodes[i], nodes[j], bytes);
+      const Time dij = oracle.latency(nodes[i], nodes[j], bytes);
       EXPECT_NEAR(raw(dij),
-                  raw(store.latency(nodes[j], nodes[i], bytes)),
+                  raw(oracle.latency(nodes[j], nodes[i], bytes)),
                   1e-12);
       for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_LE(dij, store.latency(nodes[i], nodes[k], bytes) +
-                           store.latency(nodes[k], nodes[j], bytes) + 1e-12);
+        EXPECT_LE(dij, oracle.latency(nodes[i], nodes[k], bytes) +
+                           oracle.latency(nodes[k], nodes[j], bytes) + 1e-12);
       }
     }
   }

@@ -368,6 +368,59 @@ TEST(Plan, MinPTensForcesCrossServerGroups) {
   }
 }
 
+/// `servers` NVLink-meshed A100-40 servers, each behind its own access
+/// switch, with no link between the switches: every server is an island.
+topo::Graph islands(std::int32_t servers, int gpus_per_server) {
+  topo::Graph g;
+  for (std::int32_t s = 0; s < servers; ++s) {
+    const topo::NodeId sw =
+        g.add_switch("sw" + std::to_string(s), topo::NodeKind::kAccessSwitch,
+                     64);
+    std::vector<topo::NodeId> gpus;
+    for (int i = 0; i < gpus_per_server; ++i) {
+      gpus.push_back(g.add_gpu(
+          "s" + std::to_string(s) + "g" + std::to_string(i),
+          topo::GpuModel::kA100_40, 40 * units::GB, s));
+      g.add_edge(gpus.back(), sw, topo::LinkKind::kEthernet,
+                 100 * units::Gbps);
+    }
+    for (std::size_t i = 0; i < gpus.size(); ++i) {
+      for (std::size_t j = i + 1; j < gpus.size(); ++j) {
+        g.add_edge(gpus[i], gpus[j], topo::LinkKind::kNvLink,
+                   600 * units::GBps);
+      }
+    }
+  }
+  return g;
+}
+
+TEST(Plan, PartitionedGraphIsInfeasibleNotFatal) {
+  // OPT-66B needs at least six A100-40s per cluster, so on 4-GPU islands
+  // every candidate's GPU pool spans an island boundary. plan() must
+  // report the unreachable pair rather than abort.
+  const topo::Graph g = islands(4, 4);
+  const auto& lat = fitted_model(llm::opt_66b());
+  const PlanResult result = OfflinePlanner(testbed_inputs(g, lat)).plan();
+  EXPECT_FALSE(result.feasible);
+  EXPECT_GT(result.candidates_evaluated, 0u);
+  const std::string& reason = result.infeasible_reason;
+  EXPECT_NE(reason.find("no route between s"), std::string::npos) << reason;
+  EXPECT_NE(reason.find(" and s"), std::string::npos) << reason;
+}
+
+TEST(Plan, KvPairAcrossIslandsIsInfeasible) {
+  // Two 8-GPU islands: the first candidate's prefill and decode clusters
+  // each fit one island, but no KV transfer path joins them.
+  const topo::Graph g = islands(2, 8);
+  const auto& lat = fitted_model(llm::opt_66b());
+  const PlanResult result = OfflinePlanner(testbed_inputs(g, lat)).plan();
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.infeasible_reason.rfind("kv transfer: no route between s",
+                                           0),
+            0u)
+      << result.infeasible_reason;
+}
+
 TEST(Candidates, MinPTensFiltersNarrowConfigs) {
   const topo::Graph g = topo::make_testbed();
   const auto& lat = fitted_model(llm::opt_66b());
