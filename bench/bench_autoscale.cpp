@@ -96,13 +96,10 @@ Scenario flash_scenario() {
 }
 
 ExperimentConfig base_config(const Scenario& s, bool elastic) {
-  ExperimentConfig cfg;
+  // Each scenario supplies its own trace, so the workload seed and lengths
+  // set here go unused.
+  ExperimentConfig cfg = bench::opt66b_chat_config(g_seed);
   cfg.topology = hetero_cluster();
-  cfg.serving.model = llm::opt_66b();
-  cfg.serving.seed = g_seed;
-  cfg.serving.sla_ttft = 2.5;
-  cfg.serving.sla_tpot = 0.15;
-  cfg.workload.lengths = wl::sharegpt_lengths();
   cfg.fleet.policy = serve::RouterPolicy::kHeroServe;
   if (elastic) {
     // Min-start: one replica sized for the expected (mean) rate; the

@@ -29,22 +29,6 @@ using namespace hero;
 
 std::uint64_t g_seed = 17;
 
-faults::FaultPlan link_flap_plan() {
-  faults::FaultPlan plan;
-  for (const char* edge : {"w0g1-sw1", "w1g1-sw1"}) {
-    faults::FaultEvent ev;
-    ev.kind = faults::FaultKind::kLinkFlap;
-    ev.at = 2.0;
-    ev.period = 4.0;
-    ev.duration = 2.0;  // degraded half of each cycle
-    ev.count = 10;
-    ev.target = edge;
-    ev.magnitude = 0.05;
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
 faults::FaultPlan slot_exhaust_plan() {
   // Alternating seizures: one switch's aggregator pool at a time, so a
   // scheduler that can re-place aggregation always has a healthy switch
@@ -68,7 +52,7 @@ struct ChaosScenario {
 };
 
 const ChaosScenario kClean{"clean", nullptr};
-const ChaosScenario kLinkFlap{"link_flap", link_flap_plan};
+const ChaosScenario kLinkFlap{"link_flap", bench::link_flap_plan};
 const ChaosScenario kSlotExhaust{"slot_exhaust", slot_exhaust_plan};
 
 struct Cell {
@@ -77,16 +61,10 @@ struct Cell {
 };
 
 Cell run_cell(SystemKind kind, const ChaosScenario& scenario) {
-  ExperimentConfig cfg;
+  ExperimentConfig cfg = bench::opt66b_chat_config(g_seed);
   cfg.topology = topo::make_testbed();
-  cfg.serving.model = llm::opt_66b();
   cfg.workload.rate = 1.2;
   cfg.workload.count = 60;
-  cfg.workload.lengths = wl::sharegpt_lengths();
-  cfg.workload.seed = g_seed;
-  cfg.serving.seed = g_seed;
-  cfg.serving.sla_ttft = 2.5;
-  cfg.serving.sla_tpot = 0.15;
   cfg.min_p_tens = 8;  // cross-server TP: communication on the fault path
   if (scenario.plan != nullptr) cfg.fault_plan = scenario.plan();
 

@@ -44,24 +44,18 @@ struct Cell {
 };
 
 Cell run_cell(std::size_t instances, serve::RouterPolicy policy) {
-  ExperimentConfig cfg;
+  ExperimentConfig cfg = bench::opt66b_chat_config(g_seed);
   topo::FleetClusterOptions fabric;
   fabric.racks = static_cast<std::int32_t>(instances > 4 ? instances : 4);
   cfg.topology = topo::make_fleet_cluster(fabric);
-  cfg.serving.model = llm::opt_66b();
   // Bursty arrivals (skewed load): Markov-modulated rate near the fleet's
   // knee — during a burst the fleet runs hot and a blind dispatch decision
   // queues a whole burst behind one instance.
   cfg.workload.rate = 1.15 * static_cast<double>(instances);
   cfg.workload.count = g_quick ? 240 : 60 * instances;
-  cfg.workload.lengths = wl::sharegpt_lengths();
-  cfg.workload.seed = g_seed;
   cfg.workload.bursty = true;
   cfg.workload.burst_multiplier = 3.0;
   cfg.workload.burst_fraction = 0.3;
-  cfg.serving.seed = g_seed;
-  cfg.serving.sla_ttft = 2.5;
-  cfg.serving.sla_tpot = 0.15;
   cfg.fleet.instances = instances;
   cfg.fleet.policy = policy;
 

@@ -73,24 +73,19 @@ struct Cell {
 };
 
 Cell run_cell(const Regime& regime, bool affinity) {
-  ExperimentConfig cfg;
+  ExperimentConfig cfg = bench::opt66b_chat_config(g_seed);
   topo::FleetClusterOptions fabric;
   fabric.racks = kInstances;
   cfg.topology = topo::make_fleet_cluster(fabric);
-  cfg.serving.model = llm::opt_66b();
-  cfg.serving.seed = g_seed;
   // Long-context SLA: follow-up turns legitimately carry multi-thousand-
   // token contexts, so the per-request prefill budget is looser than the
   // short-prompt benches' 2.5s.
   cfg.serving.sla_ttft = 6.0;
-  cfg.serving.sla_tpot = 0.15;
   cfg.serving.prefix_block_tokens = affinity ? kBlockTokens : 0;
   // Planner sizing: accumulated contexts make multi-turn prefills several
   // times the per-turn ShareGPT lengths, so size for the realized mean.
   cfg.workload.rate = 2.0;
   cfg.workload.count = regime.trace.size();
-  cfg.workload.lengths = wl::sharegpt_lengths();
-  cfg.workload.seed = g_seed;
   cfg.fleet.instances = kInstances;
   cfg.fleet.policy = serve::RouterPolicy::kHeroServe;
   cfg.fleet.prefix_affinity = affinity;

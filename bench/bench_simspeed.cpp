@@ -32,36 +32,12 @@ std::uint64_t g_seed = 1;
 bool g_quick = false;
 bool g_full_solve = false;
 
-/// The chaos scenario's fault plan (bench_chaos's link_flap): two GPU
-/// uplinks degraded to 5% in periodic bursts.
-faults::FaultPlan link_flap_plan() {
-  faults::FaultPlan plan;
-  for (const char* edge : {"w0g1-sw1", "w1g1-sw1"}) {
-    faults::FaultEvent ev;
-    ev.kind = faults::FaultKind::kLinkFlap;
-    ev.at = 2.0;
-    ev.period = 4.0;
-    ev.duration = 2.0;
-    ev.count = 10;
-    ev.target = edge;
-    ev.magnitude = 0.05;
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
 std::size_t scaled(std::size_t requests) {
   return g_quick ? std::max<std::size_t>(requests / 4, 8) : requests;
 }
 
 ExperimentConfig base_config() {
-  ExperimentConfig cfg;
-  cfg.serving.model = llm::opt_66b();
-  cfg.workload.lengths = wl::sharegpt_lengths();
-  cfg.workload.seed = g_seed;
-  cfg.serving.seed = g_seed;
-  cfg.serving.sla_ttft = 2.5;
-  cfg.serving.sla_tpot = 0.15;
+  ExperimentConfig cfg = bench::opt66b_chat_config(g_seed);
   cfg.netsim.full_solve = g_full_solve;
   return cfg;
 }
@@ -100,7 +76,7 @@ Outcome run_chaos() {
   cfg.workload.rate = 1.2;
   cfg.workload.count = scaled(60);
   cfg.min_p_tens = 8;  // cross-server TP: communication on the fault path
-  cfg.fault_plan = link_flap_plan();
+  cfg.fault_plan = bench::link_flap_plan();
   return timed([&](SimStats& stats) {
     const ExperimentResult r = run_experiment(SystemKind::kHeroServe, cfg);
     stats = r.sim_stats;

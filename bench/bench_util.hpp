@@ -31,6 +31,40 @@ inline cli::Options init(int& argc, char** argv, const char* usage) {
   return opts;
 }
 
+/// The serving set-up the chaos, fleet, prefix, autoscale and simspeed
+/// benches share: OPT-66B, ShareGPT lengths, `seed` for both the workload
+/// generator and the serving stack, 2.5 s TTFT / 0.15 s TPOT SLAs. Callers
+/// add the topology, the rate and their own knobs.
+inline ExperimentConfig opt66b_chat_config(std::uint64_t seed) {
+  ExperimentConfig cfg;
+  cfg.serving.model = llm::opt_66b();
+  cfg.workload.lengths = wl::sharegpt_lengths();
+  cfg.workload.seed = seed;
+  cfg.serving.seed = seed;
+  cfg.serving.sla_ttft = 2.5;
+  cfg.serving.sla_tpot = 0.15;
+  return cfg;
+}
+
+/// The chaos link-flap plan on the Fig. 6 testbed: two non-leader GPU
+/// uplinks (w0g1-sw1, w1g1-sw1) degraded to 5% for the first half of each
+/// 4 s cycle, ten cycles from t = 2 s.
+inline faults::FaultPlan link_flap_plan() {
+  faults::FaultPlan plan;
+  for (const char* edge : {"w0g1-sw1", "w1g1-sw1"}) {
+    faults::FaultEvent ev;
+    ev.kind = faults::FaultKind::kLinkFlap;
+    ev.at = 2.0;
+    ev.period = 4.0;
+    ev.duration = 2.0;
+    ev.count = 10;
+    ev.target = edge;
+    ev.magnitude = 0.05;
+    plan.events.push_back(ev);
+  }
+  return plan;
+}
+
 /// Machine-readable benchmark output (BENCH_<name>.json). Values are
 /// rendered with fixed formatting in insertion order, so identical runs
 /// produce byte-identical files — the determinism gate diffs them.

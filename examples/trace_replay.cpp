@@ -9,13 +9,14 @@
 // rescale -> replay loop (workload/trace_io.hpp). With --trace, the first
 // replay records a Chrome trace_event JSON viewable in chrome://tracing or
 // https://ui.perfetto.dev. With --faults, the plan is replayed against the
-// first serve (faults/fault_plan.hpp).
+// first serve (faults/fault_plan.hpp). A rate that is not a positive finite
+// number is rejected (exit status 2). Each replay runs the same pipeline as
+// quickstart: hero::run_experiment over the loaded trace.
 #include <cstdio>
+#include <utility>
 
 #include "common/cli.hpp"
-#include "common/table.hpp"
 #include "core/heroserve.hpp"
-#include "faults/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -26,65 +27,22 @@ using namespace hero;
 namespace {
 
 void serve_trace(const wl::Trace& trace, const char* label, obs::Sink sink,
-                 const faults::FaultPlan* fault_plan = nullptr) {
-  // run_experiment generates its own trace from TraceOptions; for replay we
-  // drive the pieces directly.
+                 faults::FaultPlan fault_plan = {}) {
   ExperimentConfig cfg;
   cfg.topology = topo::make_testbed();
   cfg.serving.model = llm::opt_66b();
-  cfg.serving.sla_ttft = 2.5;
-  cfg.serving.sla_tpot = 0.15;
-
-  wl::WorkloadEstimator estimator;
-  for (const wl::Request& r : trace) estimator.observe(r);
   const wl::TraceStats stats = wl::summarize(trace);
-
-  planner::PlannerInputs in;
-  in.graph = &cfg.topology;
-  in.model = cfg.serving.model;
-  in.latency = &fitted_model(cfg.serving.model);
-  in.batch_q = 8;
-  in.k_in = estimator.k_in(8);
-  in.k_in2 = estimator.k_in2(8);
-  in.k_out = estimator.k_out(8);
-  in.arrival_rate = stats.mean_rate;
-  in.t_sla_prefill = cfg.serving.sla_ttft;
-  in.t_sla_decode = cfg.serving.sla_tpot;
-  planner::OfflinePlanner planner(in);
-  const planner::PlanResult plan = planner.plan();
-  if (!plan.feasible) {
+  cfg.workload.rate = stats.mean_rate;  // size the plan for the replay
+  cfg.sink = sink;
+  cfg.fault_plan = std::move(fault_plan);
+  const ExperimentResult result =
+      run_experiment(SystemKind::kHeroServe, cfg, trace);
+  if (!result.ok()) {
     std::printf("%s: planner infeasible: %s\n", label,
-                plan.infeasible_reason.c_str());
+                result.plan.infeasible_reason.c_str());
     return;
   }
-
-  sim::Simulator simulator;
-  simulator.attach(sink);
-  net::FlowNetwork network(simulator, cfg.topology);
-  sw::SwitchRegistry switches(simulator, cfg.topology);
-  coll::CollectiveEngine engine(network, switches);
-  online::HeroCommScheduler scheduler(network);
-
-  serve::ServingOptions serving = cfg.serving;
-  serving.max_sim_time =
-      3600.0 + (trace.empty() ? 0.0 : trace.back().arrival);
-
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (fault_plan != nullptr && !fault_plan->empty()) {
-    faults::FaultInjector::Hooks hooks;
-    hooks.switches = &switches;
-    hooks.online = &scheduler.online();
-    scheduler.online().attach_switches(&switches);
-    injector =
-        std::make_unique<faults::FaultInjector>(network, *fault_plan, hooks);
-    serving.compute_scale = [inj = injector.get()](topo::NodeId g) {
-      return inj->compute_scale(g);
-    };
-    injector->arm();
-  }
-  serve::ClusterSim cluster(network, engine, scheduler, plan, serving);
-  scheduler.start();
-  const serve::ServingReport report = cluster.run(trace);
+  const serve::ServingReport& report = result.report;
 
   std::printf(
       "%s: %zu reqs @ %.2f req/s -> attainment %.3f, TTFT p90 %.2fs, "
@@ -145,14 +103,16 @@ int run(int argc, char** argv) {
   serve_trace(trace, "as recorded",
               opts.trace_path.empty() ? obs::Sink()
                                       : obs::Sink(&tracer, &metrics),
-              &fault_plan);
+              std::move(fault_plan));
   if (!opts.trace_path.empty()) {
     if (tracer.write_chrome_trace_file(opts.trace_path.c_str())) {
       std::printf("wrote %zu trace events -> %s (load in ui.perfetto.dev)\n",
                   tracer.event_count(), opts.trace_path.c_str());
     }
   }
-  serve_trace(wl::rescale_rate(trace, wl::summarize(trace).mean_rate * 2.0),
+  // A trace without an arrival span has no rate to double: replay as is.
+  const Rate recorded = wl::summarize(trace).mean_rate;
+  serve_trace(recorded > 0 ? wl::rescale_rate(trace, recorded * 2.0) : trace,
               "replayed at 2x rate", obs::Sink());
   return 0;
 }

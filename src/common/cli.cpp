@@ -1,9 +1,11 @@
 #include "common/cli.hpp"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 
 namespace hero::cli {
 namespace {
@@ -45,7 +47,11 @@ Options parse_args(int& argc, char** argv, const char* usage) {
     } else if (std::strcmp(a, "--full-solve") == 0) {
       opts.full_solve = true;
     } else {
-      if (a[0] != '-') opts.positional.emplace_back(a);
+      // A negative number ("-1") is a positional value, not a flag.
+      if (a[0] != '-' || std::isdigit(static_cast<unsigned char>(a[1])) ||
+          a[1] == '.') {
+        opts.positional.emplace_back(a);
+      }
       argv[out++] = argv[i];  // pass through (benchmark flags, positionals)
     }
   }
@@ -67,7 +73,14 @@ int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
 double positional_double(const Options& opts, std::size_t i,
                          double fallback) {
   if (i >= opts.positional.size()) return fallback;
-  return std::atof(opts.positional[i].c_str());
+  const std::string& text = opts.positional[i];
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0') {
+    throw std::invalid_argument("argument " + std::to_string(i + 1) + ": '" +
+                                text + "' is not a number");
+  }
+  return value;
 }
 
 std::size_t positional_size(const Options& opts, std::size_t i,

@@ -46,6 +46,8 @@ struct Options {
                                int (*body)(int, char**));
 
 /// Positional accessors with defaults (index past the end -> fallback).
+/// positional_double throws std::invalid_argument when the text is not
+/// entirely a number ("fast", "2x").
 [[nodiscard]] double positional_double(const Options& opts, std::size_t i,
                                        double fallback);
 [[nodiscard]] std::size_t positional_size(const Options& opts, std::size_t i,

@@ -122,7 +122,6 @@ struct DeployStack {
         serving(cfg.serving) {
     simulator.attach(cfg.sink);
     network.set_full_solve(cfg.netsim.full_solve);
-    if (cfg.netsim.validate_solves) network.set_solve_validation(true);
     scheduler = make_scheduler(kind, network, cfg, &hero);
     // The abort deadline is a *drain budget* after the last arrival; at low
     // rates the arrival horizon itself can exceed any fixed wall.
@@ -162,9 +161,12 @@ struct DeployStack {
 
 ExperimentResult run_experiment(SystemKind kind,
                                 const ExperimentConfig& cfg) {
-  ExperimentResult result;
-  const wl::Trace trace = wl::generate_trace(cfg.workload);
+  return run_experiment(kind, cfg, wl::generate_trace(cfg.workload));
+}
 
+ExperimentResult run_experiment(SystemKind kind, const ExperimentConfig& cfg,
+                                const wl::Trace& trace) {
+  ExperimentResult result;
   const planner::PlannerInputs inputs = planner_inputs_for(kind, cfg, trace);
   planner::OfflinePlanner offline(inputs);
   result.plan = offline.plan();

@@ -81,14 +81,12 @@ struct ExperimentConfig {
   /// unchanged.
   serve::FleetConfig fleet;
 
-  /// Flow-network engine knobs (equivalence gates and validate runs).
+  /// Flow-network engine knobs (the engine-equivalence gate). HERO_VALIDATE
+  /// builds cross-check every incremental round against a full solve.
   struct NetsimOptions {
     /// Whole-fabric max-min solve every round instead of the incremental
     /// dirty-set solve. Output is byte-identical; only speed differs.
     bool full_solve = false;
-    /// Cross-check every incremental round against a full solve (on by
-    /// default in HERO_VALIDATE builds regardless of this flag).
-    bool validate_solves = false;
   };
   NetsimOptions netsim;
 };
@@ -121,6 +119,13 @@ struct ExperimentResult {
 /// deployment the report is empty and result.ok() is false.
 [[nodiscard]] ExperimentResult run_experiment(SystemKind kind,
                                               const ExperimentConfig& cfg);
+
+/// Same pipeline over a caller-supplied trace (a replayed capture) instead
+/// of wl::generate_trace(cfg.workload). The planner is still sized from
+/// cfg.workload.rate, while the trace drives what actually arrives.
+[[nodiscard]] ExperimentResult run_experiment(SystemKind kind,
+                                              const ExperimentConfig& cfg,
+                                              const wl::Trace& trace);
 
 struct FleetExperimentResult {
   planner::FleetPlan plan;

@@ -20,14 +20,18 @@ namespace hero::online {
 
 using GroupId = coll::GroupId;
 
+/// Surcharge added to an INA policy's cost while its aggregation switch has
+/// an exhausted slot pool (only with attach_switches; the fault injector
+/// applies it too). b_c lives in [0, 1], so 1.0 decisively loses Eq. 16 to
+/// any healthy policy.
+inline constexpr double kInaUnavailablePenalty = 1.0;
+
 /// Options controlling what candidate policies a group's table is populated
 /// with.
 struct PolicyBuildOptions {
   bool heterogeneous = true;  ///< NVLink paths + hierarchical plans
-  bool include_ring = true;
   bool include_ina = true;
   std::size_t switch_candidates = 2;  ///< INA switches considered per group
-  coll::Scheme ina_scheme = coll::Scheme::kInaSync;
   topo::NodeId fallback = topo::kInvalidNode;  ///< PS host for async INA
   std::uint32_t slots = 8;
 };
@@ -74,9 +78,8 @@ class OnlineScheduler {
 
   /// Opt into switch slot-pool health feedback: on every controller tick an
   /// INA policy whose aggregation switch has no free slots (or a backed-up
-  /// admission queue) is surcharged `OnlineConfig::ina_unavailable_penalty`
-  /// on top of its measured cost, steering Eq. 16 toward ring until the
-  /// pool recovers. Null detaches. Off by default so clean runs are
+  /// admission queue) is surcharged kInaUnavailablePenalty on top of its
+  /// measured cost, steering Eq. 16 toward ring until the pool recovers. Null detaches. Off by default so clean runs are
   /// byte-identical with pre-chaos behaviour.
   void attach_switches(sw::SwitchRegistry* switches);
 

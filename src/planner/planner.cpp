@@ -432,7 +432,7 @@ Time OfflinePlanner::kv_transfer_latency(const ClusterPlan& prefill,
       prefill.parallel.p_tens);
   Time worst = 0.0;
   for (std::size_t i = 0; i < pre.size(); ++i) {
-    const std::size_t j = i * dec.size() / pre.size();
+    const std::size_t j = kv_peer(i, pre.size(), dec.size());
     // KV streams are pipelined RDMA flows: end-to-end bottleneck rate, not
     // per-hop store-and-forward.
     const topo::Path path = route(pre[i], dec[j]);

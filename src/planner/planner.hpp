@@ -142,6 +142,16 @@ struct PlanResult {
   std::size_t solve_work_units = 0;  ///< candidates * (1 + perturb rounds)
 };
 
+/// The KV pairing rule: GPU `i` of a `src`-GPU cluster sends its KV shard
+/// to GPU `i * dst / src` of the `dst`-GPU cluster. The planner's T_f, the
+/// serving simulator's KV flows and prefix streams, and the router's KV
+/// quotes all pair GPUs through this one function, so they price and move
+/// the same paths.
+[[nodiscard]] constexpr std::size_t kv_peer(std::size_t i, std::size_t src,
+                                            std::size_t dst) {
+  return i * dst / src;
+}
+
 class OfflinePlanner {
  public:
   explicit OfflinePlanner(PlannerInputs inputs);

@@ -379,7 +379,8 @@ void ClusterSim::start_kv_transfers(PrefillBatch& batch) {
   if (per_gpu <= 0.0 || prefill_gpus_.empty()) return;
   obs::EventTracer* tr = simulator().tracer();
   for (std::size_t i = 0; i < prefill_gpus_.size(); ++i) {
-    const std::size_t j = i * decode_gpus_.size() / prefill_gpus_.size();
+    const std::size_t j =
+        planner::kv_peer(i, prefill_gpus_.size(), decode_gpus_.size());
     const topo::Path path =
         scheduler_->unicast_path(prefill_gpus_[i], decode_gpus_[j]);
     ++batch.barrier;
@@ -683,67 +684,82 @@ std::vector<RetiredSample> ClusterSim::retired_samples() const {
 }
 
 ServingReport ClusterSim::run(const wl::Trace& trace) {
-  sim::Simulator& sim = simulator();
-  const std::uint64_t ops_before = engine_->ops_completed;
-  const std::uint64_t fb_before = engine_->fallbacks_taken;
+  begin();
+  ServingReport report;
+  run_trace(
+      *network_, *engine_, trace, [this](const wl::Request& r) { submit(r); },
+      [this] { return retired_.size(); }, opts_.max_sim_time,
+      [&]() -> ServingReport& {
+        record_kv(simulator().now());
+        report = this->report(trace.size());
+        return report;
+      });
+  return report;
+}
+
+void run_trace(net::FlowNetwork& network, const coll::CollectiveEngine& engine,
+               const wl::Trace& trace,
+               std::function<void(const wl::Request&)> arrive,
+               const std::function<std::size_t()>& retired, Time deadline,
+               const std::function<ServingReport&()>& report) {
+  sim::Simulator& sim = network.simulator();
+  const std::uint64_t ops_before = engine.ops_completed;
+  const std::uint64_t fb_before = engine.fallbacks_taken;
   obs::EventTracer* tr = sim.tracer();
   const std::uint64_t tr_coll_before =
       tr ? tr->count("collective", obs::Phase::kAsyncEnd) : 0;
   const std::uint64_t tr_fb_before =
       tr ? tr->count("ina_fallback", obs::Phase::kInstant) : 0;
-  begin();
 
+  // Arrival events outlive this call when the deadline hits, so they share
+  // ownership of the action instead of referring to a local.
+  auto act = std::make_shared<const std::function<void(const wl::Request&)>>(
+      std::move(arrive));
   for (const wl::Request& r : trace) {
-    sim.schedule(r.arrival, [this, r] { submit(r); });
+    sim.schedule(r.arrival, [act, r] { (*act)(r); });
   }
 
-  while (retired_.size() < trace.size() && sim.now() < opts_.max_sim_time) {
+  // Count-driven exit: autoscaler ticks keep the event queue non-empty
+  // forever, so the loop ends on the retired count, not queue exhaustion.
+  while (retired() < trace.size() && sim.now() < deadline) {
     if (!sim.step()) break;
   }
-  if (retired_.size() < trace.size()) {
+  if (retired() < trace.size()) {
     log::warn(
-        "serving run incomplete: t={} retired={}/{} prefill_q={} "
-        "prefill_running={} decode_wait={} decoding={} transfers={} "
+        "serving run incomplete: t={} retired={}/{} transfers={} "
         "pending_events={}",
-        sim.now(), retired_.size(), trace.size(), prefill_queue_.size(),
-        prefill_running_ != nullptr, decode_wait_queue_.size(),
-        decoding_.size(), network_->active_transfers(),
+        sim.now(), retired(), trace.size(), network.active_transfers(),
         sim.pending_events());
-    network_->debug_dump();
+    network.debug_dump();
   }
 
-  record_kv(sim.now());
-  ServingReport report = this->report(trace.size());
-  report.collectives = engine_->ops_completed - ops_before;
-  report.ina_fallbacks = engine_->fallbacks_taken - fb_before;
+  ServingReport& out = report();
+  out.collectives = engine.ops_completed - ops_before;
+  out.ina_fallbacks = engine.fallbacks_taken - fb_before;
   if (tr) {
     // The engine and the tracer count the same completions through
-    // independent paths; a mismatch means instrumentation drift.
-    report.trace_checked = true;
-    report.trace_collectives =
+    // independent paths; a mismatch means instrumentation drift, fatal
+    // under HERO_VALIDATE.
+    out.trace_checked = true;
+    out.trace_collectives =
         tr->count("collective", obs::Phase::kAsyncEnd) - tr_coll_before;
-    report.trace_ina_fallbacks =
+    out.trace_ina_fallbacks =
         tr->count("ina_fallback", obs::Phase::kInstant) - tr_fb_before;
-    report.trace_consistent =
-        report.trace_collectives == report.collectives &&
-        report.trace_ina_fallbacks == report.ina_fallbacks;
-    // The engine and tracer count the same completions through independent
-    // paths; under HERO_VALIDATE instrumentation drift is fatal, not a
-    // warning.
-    HERO_INVARIANT(report.trace_consistent,
+    out.trace_consistent = out.trace_collectives == out.collectives &&
+                           out.trace_ina_fallbacks == out.ina_fallbacks;
+    HERO_INVARIANT(out.trace_consistent,
                    "engine/tracer drift: {} vs {} collectives, {} vs {} "
                    "fallbacks",
-                   report.collectives, report.trace_collectives,
-                   report.ina_fallbacks, report.trace_ina_fallbacks);
-    if (!report.trace_consistent) {
+                   out.collectives, out.trace_collectives, out.ina_fallbacks,
+                   out.trace_ina_fallbacks);
+    if (!out.trace_consistent) {
       log::warn(
           "serving trace cross-check mismatch: engine collectives={} "
           "fallbacks={} vs tracer collectives={} fallbacks={}",
-          report.collectives, report.ina_fallbacks, report.trace_collectives,
-          report.trace_ina_fallbacks);
+          out.collectives, out.ina_fallbacks, out.trace_collectives,
+          out.trace_ina_fallbacks);
     }
   }
-  return report;
 }
 
 }  // namespace hero::serve

@@ -165,7 +165,7 @@ class ClusterSim {
   // --- fleet-facing API ------------------------------------------------
   // FleetSim drives many ClusterSims on one shared simulator: it submits
   // routed requests itself and assembles per-instance reports at the end.
-  // run() is implemented on top of these primitives.
+  // run() and FleetSim::run() both hand these primitives to run_trace().
 
   /// Record the initial KV-occupancy sample. Call once before submitting.
   void begin();
@@ -177,7 +177,7 @@ class ClusterSim {
   /// Metrics-only report over everything retired so far. `expected` is the
   /// SLA-attainment denominator (the requests this instance was meant to
   /// serve). Engine/tracer counter deltas are left zero — they are shared
-  /// fleet-wide and only the single-instance run() can attribute them.
+  /// fleet-wide, so run_trace() attributes them to the whole run.
   [[nodiscard]] ServingReport report(std::size_t expected) const;
 
   /// Per-request (arrival, TTFT, finish) of every retired request, in
@@ -291,5 +291,18 @@ class ClusterSim {
   /// its member GPUs (tensor-parallel peers wait for the slowest shard).
   [[nodiscard]] double stage_scale(const Stage& stage) const;
 };
+
+/// The one serving run loop, shared by ClusterSim::run and FleetSim::run.
+/// Schedules `arrive(r)` at every request's arrival time, then steps the
+/// network's simulator until `retired()` reaches trace.size() or simulated
+/// time passes `deadline`; an incomplete run logs one warning plus the
+/// network's transfer dump. Finally calls `report()` and fills the
+/// ServingReport it returns with this run's engine collective/fallback
+/// deltas, cross-checked against the attached tracer's totals.
+void run_trace(net::FlowNetwork& network, const coll::CollectiveEngine& engine,
+               const wl::Trace& trace,
+               std::function<void(const wl::Request&)> arrive,
+               const std::function<std::size_t()>& retired, Time deadline,
+               const std::function<ServingReport&()>& report);
 
 }  // namespace hero::serve

@@ -93,13 +93,6 @@ struct FleetConfig {
   RouterPolicy policy = RouterPolicy::kRoundRobin;
   /// Seed of the router's own RNG (the `random` policy's only state).
   std::uint64_t router_seed = 1;
-  /// Weights of the two HeroServe cost terms (queue delay, KV transfer).
-  double queue_weight = 1.0;
-  double kv_weight = 1.0;
-  /// Marginal TPOT interference charged per occupied decode lane, as a
-  /// fraction of a full 1/mu_dec serialization step (decode lanes run
-  /// concurrently; a new batch member only stretches the shared step).
-  double decode_interference = 0.1;
   /// Fraction of the request's predicted decode residence (output tokens x
   /// the instance's planned TPOT) charged to the cost. Tilts long-output
   /// requests toward fast-decode plans when queue signals are flat — the

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/format.hpp"
-#include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -153,7 +152,7 @@ void FleetSim::start_prefix_stream(const RouteDecision& decision,
       decision.stream_bytes / static_cast<double>(sdec.size());
   auto barrier = std::make_shared<std::size_t>(sdec.size());
   for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const std::size_t j = i * ddec.size() / sdec.size();
+    const std::size_t j = planner::kv_peer(i, sdec.size(), ddec.size());
     const topo::Path path = scheduler_->unicast_path(sdec[i], ddec[j]);
     net::TransferOptions topts;
     topts.pipelined = true;  // RDMA bulk stream
@@ -185,37 +184,24 @@ void FleetSim::finish_prefix_stream(std::size_t from, std::size_t to,
 
 FleetReport FleetSim::run(const wl::Trace& trace) {
   HERO_REQUIRE(!instances_.empty(), "FleetSim::run: no instances deployed");
-  sim::Simulator& sim = network_->simulator();
-  const std::uint64_t ops_before = engine_->ops_completed;
-  const std::uint64_t fb_before = engine_->fallbacks_taken;
-  obs::EventTracer* tr = sim.tracer();
-  const std::uint64_t tr_coll_before =
-      tr ? tr->count("collective", obs::Phase::kAsyncEnd) : 0;
-  const std::uint64_t tr_fb_before =
-      tr ? tr->count("ina_fallback", obs::Phase::kInstant) : 0;
-
   running_ = true;
-  const Time max_sim_time = base_serving_.max_sim_time;
   for (auto& inst : instances_) inst->begin();
+  FleetReport fleet;
+  run_trace(
+      *network_, *engine_, trace,
+      // Dispatch happens at the arrival instant against the fleet's live
+      // state (queue depths and residual bandwidth as of *now*).
+      [this](const wl::Request& r) { dispatch(r); },
+      [this] { return total_retired(); }, base_serving_.max_sim_time,
+      [&]() -> ServingReport& {
+        running_ = false;
+        fleet = assemble_report(trace.size());
+        return fleet.aggregate;
+      });
+  return fleet;
+}
 
-  for (const wl::Request& r : trace) {
-    // Dispatch happens at the arrival instant against the fleet's live
-    // state (queue depths and residual bandwidth as of *now*).
-    sim.schedule(r.arrival, [this, r] { dispatch(r); });
-  }
-
-  // Count-driven exit: autoscaler ticks keep the event queue non-empty
-  // forever, so the loop ends on the retired count, not queue exhaustion.
-  while (total_retired() < trace.size() && sim.now() < max_sim_time) {
-    if (!sim.step()) break;
-  }
-  running_ = false;
-  if (total_retired() < trace.size()) {
-    log::warn("fleet run incomplete: t={} retired={}/{} instances={}",
-              sim.now(), total_retired(), trace.size(), instances_.size());
-    network_->debug_dump();
-  }
-
+FleetReport FleetSim::assemble_report(std::size_t expected) {
   FleetReport fleet;
   fleet.dispatched = router_.dispatched();
   fleet.lifetimes = lifetimes_;
@@ -259,7 +245,7 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
               return a.id < b.id;
             });
   agg.sla_attainment =
-      trace.empty() ? 0.0 : within_sla / static_cast<double>(trace.size());
+      expected == 0 ? 0.0 : within_sla / static_cast<double>(expected);
   agg.requests_per_second =
       agg.makespan > 0
           ? static_cast<double>(agg.completed) / agg.makespan
@@ -277,32 +263,12 @@ FleetReport FleetSim::run(const wl::Trace& trace) {
   // drain completed (released) or the run ended — a never-released replica
   // is paid for through the whole run, which is exactly the static fleet's
   // bill and what the elastic fleet undercuts.
-  const Time end_of_run = sim.now();
+  const Time end_of_run = network_->simulator().now();
   for (const InstanceLifetime& life : lifetimes_) {
     const Time held =
         (life.released < 0 ? end_of_run : life.released) - life.deployed;
     fleet.gpu_hours +=
         static_cast<double>(life.gpus) * std::max(0.0, raw(held)) / 3600.0;
-  }
-
-  // Engine counters are shared across instances; only fleet-wide deltas
-  // are attributable.
-  agg.collectives = engine_->ops_completed - ops_before;
-  agg.ina_fallbacks = engine_->fallbacks_taken - fb_before;
-  if (tr) {
-    agg.trace_checked = true;
-    agg.trace_collectives =
-        tr->count("collective", obs::Phase::kAsyncEnd) - tr_coll_before;
-    agg.trace_ina_fallbacks =
-        tr->count("ina_fallback", obs::Phase::kInstant) - tr_fb_before;
-    agg.trace_consistent =
-        agg.trace_collectives == agg.collectives &&
-        agg.trace_ina_fallbacks == agg.ina_fallbacks;
-    HERO_INVARIANT(agg.trace_consistent,
-                   "engine/tracer drift: {} vs {} collectives, {} vs {} "
-                   "fallbacks",
-                   agg.collectives, agg.trace_collectives, agg.ina_fallbacks,
-                   agg.trace_ina_fallbacks);
   }
 
   if (!fleet.dispatched.empty()) {

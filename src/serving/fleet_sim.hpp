@@ -4,9 +4,9 @@
 // and collective traffic genuinely contend on rack uplinks), the obs sink,
 // the collective engine, and — through the simulator — the fault injector.
 //
-// FleetSim owns the dispatch loop: each trace arrival is routed at its
-// arrival instant against the fleet's *current* state, then submitted to
-// the chosen instance. The fleet is elastic — instances can be deployed
+// FleetSim owns dispatch: run_trace (the run loop ClusterSim::run shares)
+// fires each trace arrival at its instant, and FleetSim routes it against
+// the fleet's *current* state, then submits it to the chosen instance. The fleet is elastic — instances can be deployed
 // mid-run (FleetController scale-up) and drained/released; FleetSim tracks
 // each instance's deploy/release lifetime so reports can integrate
 // GPU-hours, the autoscaling bench's cost metric. Reports aggregate the
@@ -141,6 +141,10 @@ class FleetSim {
   Bytes stream_bytes_total_ = 0.0;
 
   [[nodiscard]] std::size_t total_retired() const;
+  /// Pool the per-instance reports into the fleet report; `expected` is
+  /// the fleet-wide SLA-attainment denominator. Engine/tracer deltas are
+  /// left to run_trace().
+  [[nodiscard]] FleetReport assemble_report(std::size_t expected);
   /// Execute a kStream decision: pin at the source, move the blocks as
   /// pipelined fabric flows, adopt at the destination, then submit.
   void start_prefix_stream(const RouteDecision& decision,

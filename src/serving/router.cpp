@@ -50,15 +50,15 @@ std::size_t Router::add_instance(ClusterSim& instance) {
   Instance inst;
   inst.sim = &instance;
   // Static pairing paths: GPU i of the prefill cluster streams its KV shard
-  // to decode GPU i * |dec| / |pre| (the serving simulator's mapping). The
-  // route is the plain shortest path — the *load* is applied at dispatch
-  // time through the fair-share bandwidth vector, so the estimate follows
-  // congestion without perturbing any scheduler state.
+  // to decode GPU planner::kv_peer(i, |pre|, |dec|). The route is the plain
+  // shortest path — the *load* is applied at dispatch time through the
+  // fair-share bandwidth vector, so the estimate follows congestion without
+  // perturbing any scheduler state.
   const auto& pre = instance.prefill_gpu_ids();
   const auto& dec = instance.decode_gpu_ids();
   inst.kv_paths.reserve(pre.size());
   for (std::size_t i = 0; i < pre.size() && !dec.empty(); ++i) {
-    const std::size_t j = i * dec.size() / pre.size();
+    const std::size_t j = planner::kv_peer(i, pre.size(), dec.size());
     auto path = topo::shortest_path(network_->graph(), pre[i], dec[j]);
     if (path) inst.kv_paths.push_back(std::move(*path));
   }
@@ -120,6 +120,18 @@ ArrivalContext Router::make_context(const wl::Request& request) const {
   return ctx;
 }
 
+namespace {
+
+/// Weights of the two HeroServe cost terms (queue delay, KV transfer).
+constexpr double kQueueWeight = 1.0;
+constexpr double kKvWeight = 1.0;
+/// Marginal TPOT interference charged per occupied decode lane, as a
+/// fraction of a full 1/mu_dec serialization step (decode lanes run
+/// concurrently; a new batch member only stretches the shared step).
+constexpr double kDecodeInterference = 0.1;
+
+}  // namespace
+
 double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
                         const wl::Request& request) const {
   const ClusterSim& sim = *inst.sim;
@@ -161,7 +173,7 @@ double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
   // reading (1/mu_dec each), which would swamp the prefill-backlog signal.
   const Time queue_s =
       backlog_reqs / mu_pre + std::max(0.0, decode_overflow) / mu_dec +
-      config_.decode_interference *
+      kDecodeInterference *
           static_cast<double>(load.decode_requests) / mu_dec;
 
   // Decode-completion term: the request's predicted decode residence at the
@@ -194,8 +206,7 @@ double Router::cost_for(const Instance& inst, const InstanceProbe& probe,
     kv_s = std::max(kv_s, latency);
   }
 
-  return raw(config_.queue_weight * queue_s + completion_s +
-             config_.kv_weight * kv_s);
+  return raw(kQueueWeight * queue_s + completion_s + kKvWeight * kv_s);
 }
 
 double Router::cost(std::size_t id, const ArrivalContext& ctx) const {
@@ -226,13 +237,13 @@ Time Router::stream_quote(std::size_t from, std::size_t to,
     return std::numeric_limits<Time>::infinity();
   }
   // The blocks are sharded over the source's decode GPUs; each shard rides
-  // its own flow to the paired destination GPU (i -> i * |dst| / |src|,
-  // the same mapping every KV stream in the simulator uses). The quote is
-  // the slowest shard at live admission rates.
+  // its own flow to the paired destination GPU (planner::kv_peer, the
+  // same mapping every KV stream in the simulator uses). The quote is the
+  // slowest shard at live admission rates.
   const Bytes per_src = total / static_cast<double>(sdec.size());
   Time worst = 0.0;
   for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const std::size_t j = i * ddec.size() / sdec.size();
+    const std::size_t j = planner::kv_peer(i, sdec.size(), ddec.size());
     const auto path = topo::shortest_path(network_->graph(), sdec[i],
                                           ddec[j]);
     if (!path) return std::numeric_limits<Time>::infinity();

@@ -114,8 +114,8 @@ class Router {
   /// Register an instance; returns its id (assignment order). Callable
   /// mid-run — a scaled-up replica joins the dispatch set at the instant
   /// it is added. The KV term uses the instance's static prefill->decode
-  /// pairing paths (same i -> i * |dec| / |pre| mapping the serving
-  /// simulator streams over), probed against the network's live link state
+  /// pairing paths (planner::kv_peer, the mapping the serving simulator
+  /// streams over), probed against the network's live link state
   /// via estimate_path() at dispatch time.
   std::size_t add_instance(ClusterSim& instance);
 

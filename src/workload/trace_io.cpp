@@ -1,6 +1,7 @@
 #include "workload/trace_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -104,7 +105,11 @@ void save_trace_csv(const std::string& path, const Trace& trace) {
 }
 
 Trace rescale_rate(Trace trace, Rate rate) {
-  if (trace.size() < 2 || rate <= 0) return trace;
+  if (!(rate > 0) || !std::isfinite(raw(rate))) {
+    throw std::invalid_argument(
+        strfmt("rate must be a positive finite number, got {}", rate));
+  }
+  if (trace.size() < 2) return trace;
   const Time span = trace.back().arrival - trace.front().arrival;
   if (span <= 0) return trace;
   const Rate current = static_cast<double>(trace.size() - 1) / span;

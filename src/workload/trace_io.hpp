@@ -35,7 +35,8 @@ void save_trace_csv(const std::string& path, const Trace& trace);
 /// Rescale a trace's arrival times so its mean rate becomes `rate`
 /// (requests/s). Useful for replaying one recorded trace across the rate
 /// sweep of a scalability experiment. Traces with fewer than 2 requests
-/// are returned unchanged.
+/// are returned unchanged. Throws std::invalid_argument unless `rate` is a
+/// positive finite number.
 [[nodiscard]] Trace rescale_rate(Trace trace, Rate rate);
 
 }  // namespace hero::wl

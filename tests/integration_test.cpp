@@ -44,6 +44,43 @@ TEST(Experiment, DeterministicForSeed) {
   EXPECT_EQ(a.report.collectives, b.report.collectives);
 }
 
+TEST(Experiment, SuppliedTraceMatchesGeneratedTrace) {
+  // run_experiment(kind, cfg) is the supplied-trace overload fed
+  // generate_trace(cfg.workload): same plan, same serving, same engine work.
+  const ExperimentConfig cfg = chatbot_config(1.5, 15);
+  for (SystemKind kind : {SystemKind::kHeroServe, SystemKind::kDistServe}) {
+    const ExperimentResult a = run_experiment(kind, cfg);
+    const ExperimentResult b =
+        run_experiment(kind, cfg, wl::generate_trace(cfg.workload));
+    ASSERT_TRUE(a.ok()) << to_string(kind);
+    ASSERT_TRUE(b.ok()) << to_string(kind);
+    EXPECT_EQ(a.plan.prefill.all_gpus(), b.plan.prefill.all_gpus());
+    EXPECT_EQ(a.plan.decode.all_gpus(), b.plan.decode.all_gpus());
+    EXPECT_EQ(raw(a.plan.t_prefill), raw(b.plan.t_prefill));
+    EXPECT_EQ(raw(a.plan.t_decode), raw(b.plan.t_decode));
+    EXPECT_EQ(raw(a.plan.t_kv), raw(b.plan.t_kv));
+    EXPECT_EQ(a.report.completed, 15u);
+    EXPECT_EQ(a.report.completed, b.report.completed);
+    for (double q : {0.5, 0.9, 0.99}) {
+      EXPECT_EQ(a.report.ttft.quantile(q), b.report.ttft.quantile(q));
+      EXPECT_EQ(a.report.tpot.quantile(q), b.report.tpot.quantile(q));
+    }
+    EXPECT_EQ(a.report.sla_attainment, b.report.sla_attainment);
+    EXPECT_EQ(a.report.collectives, b.report.collectives);
+    EXPECT_EQ(raw(a.sim_stats.sim_seconds), raw(b.sim_stats.sim_seconds));
+    EXPECT_EQ(a.sim_stats.events_executed, b.sim_stats.events_executed);
+    EXPECT_EQ(a.sim_stats.events_scheduled, b.sim_stats.events_scheduled);
+    EXPECT_EQ(a.sim_stats.events_cancelled, b.sim_stats.events_cancelled);
+    EXPECT_EQ(a.sim_stats.flownet.reallocations,
+              b.sim_stats.flownet.reallocations);
+    EXPECT_EQ(a.sim_stats.flownet.solves, b.sim_stats.flownet.solves);
+    EXPECT_EQ(a.sim_stats.flownet.flows_solved,
+              b.sim_stats.flownet.flows_solved);
+    EXPECT_EQ(a.sim_stats.flownet.flows_active,
+              b.sim_stats.flownet.flows_active);
+  }
+}
+
 TEST(Experiment, HeroBeatsDistServeUnderLoad) {
   // The paper's gap shows where deployments must cross servers: OPT-175B
   // on 4-GPU servers (the Fig. 8 regime). On the 16-GPU testbed the

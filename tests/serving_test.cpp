@@ -183,6 +183,25 @@ TEST(ClusterSim, SingleTokenRequestsFinishWithoutDecode) {
   EXPECT_EQ(report.sla_attainment, 1.0);
 }
 
+TEST(ClusterSim, ArrivalsPastTheDeadlineStillServeLater) {
+  // The deadline stops the run loop with arrivals still queued in the
+  // simulator. They must stay safe to fire after run() returns: the loop's
+  // scheduled closures own what they call.
+  ServeFixture f;
+  ServingOptions opts = f.options();
+  opts.max_sim_time = 5.0;
+  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, opts);
+  f.scheduler->start();
+  const wl::Trace trace = f.trace(0.5, 20);
+  ASSERT_GT(trace.back().arrival, 10.0);
+  const ServingReport report = sim.run(trace);
+  EXPECT_LT(report.submitted, 20u);
+  EXPECT_LT(report.completed, 20u);
+  f.simulator.run_until(trace.back().arrival + 600.0);
+  EXPECT_EQ(sim.submitted_count(), 20u);
+  EXPECT_EQ(sim.retired_count(), 20u);
+}
+
 TEST(ClusterSim, BaselineSchedulerAlsoServes) {
   ServeFixture f(/*hero=*/false);
   ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());

@@ -131,7 +131,33 @@ for seed in "${SEEDS[@]}"; do
   fi
 done
 
-# Simspeed phase (when the bench is built): BENCH_simspeed.json must
+# Trace-replay phase (when the example is built): generate a demo trace from
+# the seed, save it, replay it twice through run_experiment. Stdout, the
+# saved CSV and the Chrome trace must all reproduce.
+TRACE_REPLAY="$(cd "$BUILD_DIR" && pwd)/examples/trace_replay"
+if [ -x "$TRACE_REPLAY" ]; then
+  for seed in "${SEEDS[@]}"; do
+    for run in 1 2; do
+      mkdir -p "$WORK/replay-$seed-$run"
+      ( cd "$WORK/replay-$seed-$run" &&
+        "$TRACE_REPLAY" --seed "$seed" --trace trace.json > stdout.txt )
+    done
+    for f in stdout.txt demo_trace.csv trace.json; do
+      if ! cmp -s "$WORK/replay-$seed-1/$f" "$WORK/replay-$seed-2/$f"; then
+        echo "determinism_check: FAIL seed=$seed trace_replay $f differs between runs" >&2
+        diff "$WORK/replay-$seed-1/$f" "$WORK/replay-$seed-2/$f" | head -20 >&2 || true
+        FAIL=1
+      fi
+    done
+    if [ "$FAIL" -eq 0 ]; then
+      echo "determinism_check: seed=$seed trace_replay OK (stdout + trace byte-identical)"
+    fi
+  done
+else
+  echo "determinism_check: trace_replay phase skipped ($TRACE_REPLAY not built)"
+fi
+
+# Simspeed phase (when the bench is built):BENCH_simspeed.json must
 # reproduce across reruns once the wall-clock keys (wall_*) are stripped,
 # and the full-solve engine must agree on every key that is not
 # wall-derived (wall_*) or solver-mode-dependent (solver_*).
