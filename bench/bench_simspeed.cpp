@@ -8,11 +8,11 @@
 //   * events executed per wall second,
 //   * how much max-min work the incremental flow-network engine avoided
 //     (flows actually re-solved vs the full-solve baseline's would-be work).
-// Deterministic outputs (simulated seconds, event counts, solver counters)
-// are written to BENCH_simspeed.json; wall-clock-derived keys carry a
-// `wall_` prefix and solver-mode-dependent keys a `solver_` prefix so the
-// determinism gate can filter them (rerun cmp strips wall_*; the
-// incremental-vs-full-solve cmp strips wall_* and solver_*).
+// Deterministic outputs (simulated seconds, event counts, route searches,
+// solver counters) are written to BENCH_simspeed.json; wall-clock-derived
+// keys carry a `wall_` prefix and solver-mode-dependent keys a `solver_`
+// prefix so the determinism gate can filter them (rerun cmp strips wall_*;
+// the incremental-vs-full-solve cmp strips wall_* and solver_*).
 //
 //   ./build/bench/bench_simspeed [--seed N] [--quick] [--full-solve]
 //
@@ -182,6 +182,7 @@ void write_json() {
         .integer("events_executed", o.stats.events_executed)
         .integer("events_scheduled", o.stats.events_scheduled)
         .integer("events_cancelled", o.stats.events_cancelled)
+        .integer("route_searches", o.stats.route_searches)
         .integer("solver_reallocations", o.stats.flownet.reallocations)
         .integer("solver_solves", o.stats.flownet.solves)
         .integer("solver_flows_solved", o.stats.flownet.flows_solved)

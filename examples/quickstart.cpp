@@ -21,6 +21,7 @@
 // hero). The positional rate is fleet-wide.
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -119,6 +120,9 @@ int run(int argc, char** argv) {
       "[--full-solve]");
   const double rate = cli::positional_double(opts, 0, 2.0);
   const std::size_t requests = cli::positional_size(opts, 1, 80);
+  if (requests == 0) {
+    throw std::invalid_argument("requests must be at least 1");
+  }
 
   ExperimentConfig cfg;
   // --full-solve swaps the incremental max-min engine for the whole-fabric

@@ -9,6 +9,12 @@ namespace {
 constexpr topo::PathConstraints kEthernetOnly{/*allow_nvlink=*/false,
                                               /*allow_ethernet=*/true};
 
+topo::PathOptions ethernet_only() {
+  topo::PathOptions opts;
+  opts.constraints = kEthernetOnly;
+  return opts;
+}
+
 /// NCCL-style baseline routing: same-server GPU pairs always use the direct
 /// NVLink edge (no real stack sends intra-node traffic out the NIC); every
 /// other pair takes the static Ethernet shortest path. What the baselines
@@ -47,7 +53,10 @@ const char* to_string(BaselineKind kind) {
 StaticCommScheduler::StaticCommScheduler(net::FlowNetwork& network,
                                          BaselineKind kind,
                                          BaselineOptions opts)
-    : network_(&network), kind_(kind), opts_(opts) {
+    : network_(&network),
+      kind_(kind),
+      opts_(opts),
+      routes_(network.graph(), ethernet_only()) {
   if (kind_ == BaselineKind::kAtp && opts_.fallback == topo::kInvalidNode) {
     opts_.fallback = find_ps_host(network.graph());
   }
@@ -132,9 +141,7 @@ coll::AllReducePlan StaticCommScheduler::all_reduce_plan(coll::GroupId group,
 
 topo::Path StaticCommScheduler::unicast_path(topo::NodeId src,
                                              topo::NodeId dst) {
-  topo::PathOptions opts;
-  opts.constraints = kEthernetOnly;
-  auto p = topo::shortest_path(network_->graph(), src, dst, opts);
+  auto p = routes_.path(src, dst);
   if (!p) throw std::runtime_error("StaticCommScheduler: no unicast route");
   return *std::move(p);
 }

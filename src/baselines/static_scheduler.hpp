@@ -17,6 +17,7 @@
 
 #include "collectives/comm_scheduler.hpp"
 #include "netsim/flownet.hpp"
+#include "topology/paths.hpp"
 
 namespace hero::baselines {
 
@@ -40,6 +41,9 @@ class StaticCommScheduler final : public coll::CommScheduler {
   coll::AllReducePlan all_reduce_plan(coll::GroupId group,
                                       Bytes bytes) override;
   topo::Path unicast_path(topo::NodeId src, topo::NodeId dst) override;
+  [[nodiscard]] std::uint64_t route_searches() const override {
+    return routes_.sources_solved();
+  }
   [[nodiscard]] const char* name() const override {
     return to_string(kind_);
   }
@@ -55,6 +59,8 @@ class StaticCommScheduler final : public coll::CommScheduler {
   BaselineKind kind_;
   BaselineOptions opts_;
   std::vector<coll::AllReducePlan> plans_;
+  /// Ethernet-only unicast routes: one Dijkstra per source.
+  topo::PathOracle routes_;
 };
 
 }  // namespace hero::baselines

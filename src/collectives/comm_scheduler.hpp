@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "collectives/engine.hpp"
@@ -35,6 +36,10 @@ class CommScheduler {
 
   /// Hook for periodic work (controller sync); default none.
   virtual void start() {}
+
+  /// Route searches unicast_path() has run so far: misses of the
+  /// scheduler's route memo (deterministic; bench_simspeed reports it).
+  [[nodiscard]] virtual std::uint64_t route_searches() const = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
 };

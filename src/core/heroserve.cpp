@@ -153,6 +153,7 @@ struct DeployStack {
     out.events_scheduled = simulator.scheduled_events();
     out.events_cancelled = simulator.cancelled_events();
     out.flownet = network.stats();
+    out.route_searches = scheduler->route_searches();
     return out;
   }
 };

@@ -101,6 +101,8 @@ struct SimStats {
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
   net::FlowNetStats flownet;
+  /// Unicast route searches the scheduler ran (its memo misses).
+  std::uint64_t route_searches = 0;
 };
 
 struct ExperimentResult {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/check.hpp"
 
@@ -43,6 +42,17 @@ PolicyTable::PolicyTable(std::vector<Policy> policies,
     : graph_(&graph), policies_(std::move(policies)) {
   if (policies_.empty()) {
     throw std::invalid_argument("PolicyTable: no policies");
+  }
+  shared_.resize(policies_.size());
+  for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
+    const std::vector<topo::EdgeId>& sel_edges = policies_[sel].edges;
+    for (const Policy& other : policies_) {
+      std::vector<bool>& mask = shared_[sel].emplace_back();
+      for (topo::EdgeId e : other.edges) {
+        mask.push_back(std::find(sel_edges.begin(), sel_edges.end(), e) !=
+                       sel_edges.end());
+      }
+    }
   }
   // Penalties start at the static sharing ratios computed from capacities.
   penalty_.assign(policies_.size(), std::vector<double>(policies_.size(), 0));
@@ -136,19 +146,19 @@ void PolicyTable::update_penalties(const net::FlowNetwork* net,
   };
 
   for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
-    std::unordered_set<topo::EdgeId> sel_edges(policies_[sel].edges.begin(),
-                                               policies_[sel].edges.end());
     for (std::size_t other = 0; other < policies_.size(); ++other) {
       if (other == sel) {
         penalty_[sel][other] = 1.0;
         continue;
       }
+      const std::vector<topo::EdgeId>& edges = policies_[other].edges;
+      const std::vector<bool>& in_sel = shared_[sel][other];
       Bandwidth shared = 0.0;
       Bandwidth total = 0.0;
-      for (topo::EdgeId e : policies_[other].edges) {
-        const Bandwidth w = edge_weight(e);
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        const Bandwidth w = edge_weight(edges[i]);
         total += w;
-        if (sel_edges.contains(e)) shared += w;
+        if (in_sel[i]) shared += w;
       }
       const double ratio = total > 0 ? shared / total : 0.0;
       penalty_[sel][other] =

@@ -64,6 +64,7 @@ class PolicyTable {
   [[nodiscard]] const Policy& policy(std::size_t i) const {
     return policies_.at(i);
   }
+  /// Mutable for costs; the edge sets are fixed at construction.
   [[nodiscard]] Policy& policy(std::size_t i) { return policies_.at(i); }
 
   /// Eq. 16: argmin_c J(c, D) with J = b_c + delta(c, D).
@@ -96,6 +97,9 @@ class PolicyTable {
   const topo::Graph* graph_;
   std::vector<Policy> policies_;
   std::vector<std::vector<double>> penalty_;  // f_{(c*, c)}
+  /// shared_[c*][c][i]: whether edge i of policy c is also an edge of c*
+  /// (the c* ∩ c of Eq. 18), fixed when the table is built.
+  std::vector<std::vector<std::vector<bool>>> shared_;
 };
 
 }  // namespace hero::online

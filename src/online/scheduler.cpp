@@ -298,7 +298,10 @@ void OnlineScheduler::set_sync_disruption(Time extra_delay, bool drop_sync) {
 HeroCommScheduler::HeroCommScheduler(net::FlowNetwork& network,
                                      OnlineConfig config,
                                      PolicyBuildOptions build)
-    : network_(&network), build_(build), online_(network, config) {}
+    : network_(&network),
+      build_(build),
+      online_(network, config),
+      routes_(network.graph(), hetero_opts(build.heterogeneous)) {}
 
 GroupId HeroCommScheduler::register_group(
     std::vector<topo::NodeId> members) {
@@ -317,13 +320,12 @@ coll::AllReducePlan HeroCommScheduler::all_reduce_plan(GroupId group,
 topo::Path HeroCommScheduler::unicast_path(topo::NodeId src,
                                            topo::NodeId dst) {
   // Load-aware route choice among edge-diverse alternates: pick the one
-  // whose bottleneck residual bandwidth is largest right now. Each probe is
-  // one O(hops) estimate_path() walk over the live link indexes — and
-  // direction-aware, so a link loaded only in the opposite direction no
-  // longer penalizes a route (the old per-edge residual vector took the
-  // busier direction of every edge).
-  auto alts = topo::alternate_paths(network_->graph(), src, dst, 3,
-                                    hetero_opts(build_.heterogeneous));
+  // whose bottleneck residual bandwidth is largest right now. The
+  // alternates are memoized per pair; the pick is made on every call. Each
+  // probe is one O(hops) estimate_path() walk over the live link indexes —
+  // and direction-aware, so a link loaded only in the opposite direction
+  // does not penalize a route.
+  const std::vector<topo::Path>& alts = routes_.alternates(src, dst, 3);
   if (alts.empty()) {
     throw std::runtime_error("HeroCommScheduler: no unicast route");
   }

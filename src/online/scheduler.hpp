@@ -15,6 +15,7 @@
 
 #include "collectives/comm_scheduler.hpp"
 #include "online/policy.hpp"
+#include "topology/paths.hpp"
 
 namespace hero::online {
 
@@ -128,6 +129,9 @@ class HeroCommScheduler final : public coll::CommScheduler {
   coll::AllReducePlan all_reduce_plan(GroupId group, Bytes bytes) override;
   topo::Path unicast_path(topo::NodeId src, topo::NodeId dst) override;
   void start() override { online_.start(); }
+  [[nodiscard]] std::uint64_t route_searches() const override {
+    return routes_.alternates_solved();
+  }
   [[nodiscard]] const char* name() const override { return "HeroServe"; }
 
   [[nodiscard]] OnlineScheduler& online() { return online_; }
@@ -145,6 +149,9 @@ class HeroCommScheduler final : public coll::CommScheduler {
   PolicyBuildOptions build_;
   std::string group_prefix_;
   OnlineScheduler online_;
+  /// unicast_path()'s edge-diverse alternates per (src, dst): the search
+  /// is load-independent, so it runs once per pair.
+  topo::PathOracle routes_;
 };
 
 }  // namespace hero::online

@@ -40,6 +40,7 @@ NodeId Graph::add_gpu(std::string name, GpuModel model, Bytes memory,
   n.gpu = GpuInfo{model, memory, memory, server};
   nodes_.push_back(std::move(n));
   adjacency_.emplace_back();
+  ++version_;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -49,6 +50,7 @@ NodeId Graph::add_server(std::string name) {
   n.name = std::move(name);
   nodes_.push_back(std::move(n));
   adjacency_.emplace_back();
+  ++version_;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -63,6 +65,7 @@ NodeId Graph::add_switch(std::string name, NodeKind kind,
   n.agg_slots = agg_slots;
   nodes_.push_back(std::move(n));
   adjacency_.emplace_back();
+  ++version_;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -77,6 +80,7 @@ EdgeId Graph::add_edge(NodeId a, NodeId b, LinkKind kind, Bandwidth capacity,
   const EdgeId id = static_cast<EdgeId>(edges_.size() - 1);
   adjacency_[a].push_back(Adjacency{b, id});
   adjacency_[b].push_back(Adjacency{a, id});
+  ++version_;
   return id;
 }
 

@@ -95,7 +95,17 @@ class Graph {
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_.at(id); }
   [[nodiscard]] Node& node(NodeId id) { return nodes_.at(id); }
   [[nodiscard]] const Edge& edge(EdgeId id) const { return edges_.at(id); }
-  [[nodiscard]] Edge& edge(EdgeId id) { return edges_.at(id); }
+  /// Mutable edge access counts as a change (see version()).
+  [[nodiscard]] Edge& edge(EdgeId id) {
+    ++version_;
+    return edges_.at(id);
+  }
+
+  /// Bumped by every add_* and every non-const edge() call, i.e. by any
+  /// change that can move a route. Memos over the graph (PathOracle) record
+  /// it and check it on each query. Writes through the non-const node()
+  /// (GPU memory bookkeeping on planner scratch graphs) leave it alone.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   [[nodiscard]] std::span<const Adjacency> neighbors(NodeId id) const {
     return adjacency_.at(id);
@@ -126,6 +136,7 @@ class Graph {
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<Adjacency>> adjacency_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace hero::topo

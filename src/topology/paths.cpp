@@ -5,6 +5,8 @@
 #include <limits>
 #include <queue>
 
+#include "common/check.hpp"
+
 namespace hero::topo {
 
 // Single-source Dijkstra result, shared by the one-shot queries and the
@@ -180,7 +182,10 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
 }
 
 PathOracle::PathOracle(const Graph& g, const PathOptions& opts)
-    : graph_(&g), opts_(opts), slots_(g.node_count()) {
+    : graph_(&g),
+      graph_version_(g.version()),
+      opts_(opts),
+      slots_(g.node_count()) {
   // Snapshot residual bandwidth so the oracle stays valid after caller
   // mutations.
   residual_copy_.assign(opts.residual_bw.begin(), opts.residual_bw.end());
@@ -188,6 +193,12 @@ PathOracle::PathOracle(const Graph& g, const PathOptions& opts)
 }
 
 PathOracle::~PathOracle() = default;
+
+void PathOracle::check_graph_unchanged() const {
+  HERO_INVARIANT(graph_->version() == graph_version_,
+                 "PathOracle: graph changed under the memo (version {} -> {})",
+                 graph_version_, graph_->version());
+}
 
 const detail::Sssp& PathOracle::solved(NodeId src) const {
   // The planner's prefill and decode threads query the same sources (the
@@ -203,6 +214,7 @@ const detail::Sssp& PathOracle::solved(NodeId src) const {
 }
 
 std::optional<Path> PathOracle::path(NodeId src, NodeId dst) const {
+  check_graph_unchanged();
   if (src == dst) return Path{{src}, {}};
   return route(*graph_, solved(src), src, dst, opts_);
 }
@@ -211,6 +223,24 @@ Time PathOracle::latency(NodeId src, NodeId dst, Bytes bytes) const {
   const std::optional<Path> p = path(src, dst);
   if (!p) return std::numeric_limits<Time>::infinity();
   return p->latency(*graph_, bytes, opts_.residual_bw);
+}
+
+const std::vector<Path>& PathOracle::alternates(NodeId src, NodeId dst,
+                                                std::size_t k) const {
+  check_graph_unchanged();
+  AltSlot* slot = nullptr;
+  {
+    // Map nodes never move, so the slot outlives the lock.
+    const std::lock_guard<std::mutex> lock(alt_mutex_);
+    slot = &alts_[{src, dst, k}];
+  }
+  // The search runs outside the map lock, so distinct pairs solve in
+  // parallel; callers of the same pair wait for the first one.
+  std::call_once(slot->once, [&] {
+    slot->paths = alternate_paths(*graph_, src, dst, k, opts_);
+    ++alternates_solved_;
+  });
+  return slot->paths;
 }
 
 std::vector<Path> alternate_paths(const Graph& g, NodeId src, NodeId dst,

@@ -16,10 +16,12 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "topology/graph.hpp"
@@ -73,7 +75,8 @@ struct Path {
 
 /// Up to k edge-diverse routes between src and dst, cheapest first, found by
 /// iterative edge-penalty re-search. The first entry is the true shortest
-/// path. Used to populate the online scheduler's policy alternatives.
+/// path. The online scheduler's KV routing picks among these through
+/// PathOracle::alternates(), which memoizes them per pair.
 [[nodiscard]] std::vector<Path> alternate_paths(const Graph& g, NodeId src,
                                                 NodeId dst, std::size_t k,
                                                 const PathOptions& opts = {});
@@ -82,14 +85,18 @@ namespace detail {
 struct Sssp;  // single-source Dijkstra result (defined in paths.cpp)
 }  // namespace detail
 
-/// Memoized shortest-path queries over a fixed graph and options: the
-/// planner's `D_(i,j)` latency matrix and `P_(k,a)` path store (Alg. 2 lines
-/// 1-3), solved on first use instead of precomputed. The Dijkstra underneath
+/// Memoized route queries over a fixed graph and options: the planner's
+/// `D_(i,j)` latency matrix and `P_(k,a)` path store (Alg. 2 lines 1-3),
+/// solved on first use instead of precomputed, and the online scheduler's
+/// edge-diverse KV-transfer alternates. The Dijkstra underneath
 /// shortest_path() is target-independent, so one solve per distinct source
 /// answers every (src, dst) query with a path bit-identical to a fresh
-/// shortest_path() call. Safe to query from several threads at once: each
-/// source is solved exactly once. Only valid while the graph outlives the
-/// oracle; `opts.residual_bw` is snapshotted at construction.
+/// shortest_path() call; alternates() keeps one alternate_paths() result
+/// per (src, dst, k). Safe to query from several threads at once: each
+/// source and each alternates key is solved exactly once. Only valid while
+/// the graph outlives the oracle and stays unchanged (its version() is
+/// checked on every query); `opts.residual_bw` is snapshotted at
+/// construction.
 class PathOracle {
  public:
   explicit PathOracle(const Graph& g, const PathOptions& opts = {});
@@ -102,10 +109,18 @@ class PathOracle {
   /// Eq. 10 latency of a `bytes` transfer along path(src, dst); infinity
   /// when the pair is unreachable under the constraints.
   [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
+  /// Same paths as alternate_paths(g, src, dst, k, opts), edge for edge.
+  /// The reference stays valid for the oracle's lifetime.
+  [[nodiscard]] const std::vector<Path>& alternates(NodeId src, NodeId dst,
+                                                    std::size_t k) const;
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   /// Distinct sources solved so far (cache effectiveness / tests).
   [[nodiscard]] std::size_t sources_solved() const {
     return sources_solved_;
+  }
+  /// Distinct (src, dst, k) alternates searches run so far.
+  [[nodiscard]] std::size_t alternates_solved() const {
+    return alternates_solved_;
   }
 
  private:
@@ -113,14 +128,23 @@ class PathOracle {
     std::once_flag once;
     std::unique_ptr<detail::Sssp> sssp;
   };
+  struct AltSlot {
+    std::once_flag once;
+    std::vector<Path> paths;
+  };
 
   const Graph* graph_;
+  std::uint64_t graph_version_;
   PathOptions opts_;
   std::vector<Bandwidth> residual_copy_;
   mutable std::vector<Slot> slots_;  // per source, filled once on first use
   mutable std::atomic<std::size_t> sources_solved_{0};
+  mutable std::mutex alt_mutex_;  // guards the map, not the slots
+  mutable std::map<std::tuple<NodeId, NodeId, std::size_t>, AltSlot> alts_;
+  mutable std::atomic<std::size_t> alternates_solved_{0};
 
   [[nodiscard]] const detail::Sssp& solved(NodeId src) const;
+  void check_graph_unchanged() const;
 };
 
 }  // namespace hero::topo

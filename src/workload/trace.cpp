@@ -5,8 +5,20 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/format.hpp"
+
 namespace hero::wl {
 namespace {
+
+/// Arrival rates must be positive and finite (rescale_rate's rule): a NaN
+/// or infinite rate would yield a degenerate trace rather than an error.
+void require_rate(const char* who, Rate rate) {
+  if (!(rate > 0) || !std::isfinite(raw(rate))) {
+    throw std::invalid_argument(
+        strfmt("{}: rate must be a positive finite number, got {}", who,
+               rate));
+  }
+}
 
 std::size_t sample_length(Rng& rng, double mu, double sigma, std::size_t lo,
                           std::size_t hi) {
@@ -44,7 +56,7 @@ LengthDistribution longbench_lengths() {
 }
 
 Trace generate_trace(const TraceOptions& opts) {
-  if (opts.rate <= 0.0) throw std::invalid_argument("generate_trace: rate");
+  require_rate("generate_trace", opts.rate);
   Rng rng(opts.seed);
 
   // Bursty: two-state MMPP preserving the requested mean rate.
@@ -95,8 +107,9 @@ Trace generate_trace(const TraceOptions& opts) {
 }
 
 Trace generate_diurnal_trace(const DiurnalOptions& opts) {
-  if (opts.base.rate <= 0.0 || opts.period <= 0.0) {
-    throw std::invalid_argument("generate_diurnal_trace: rate/period");
+  require_rate("generate_diurnal_trace", opts.base.rate);
+  if (opts.period <= 0.0) {
+    throw std::invalid_argument("generate_diurnal_trace: period");
   }
   if (opts.amplitude < 0.0 || opts.amplitude >= 1.0) {
     throw std::invalid_argument("generate_diurnal_trace: amplitude in [0,1)");
@@ -134,9 +147,9 @@ Trace generate_diurnal_trace(const DiurnalOptions& opts) {
 }
 
 Trace generate_flash_crowd_trace(const FlashCrowdOptions& opts) {
-  if (opts.base.rate <= 0.0 || opts.burst_duration <= 0.0) {
-    throw std::invalid_argument(
-        "generate_flash_crowd_trace: rate/burst_duration");
+  require_rate("generate_flash_crowd_trace", opts.base.rate);
+  if (opts.burst_duration <= 0.0) {
+    throw std::invalid_argument("generate_flash_crowd_trace: burst_duration");
   }
   if (opts.burst_multiplier < 1.0) {
     throw std::invalid_argument(
@@ -172,9 +185,7 @@ Trace generate_flash_crowd_trace(const FlashCrowdOptions& opts) {
 }
 
 Trace generate_multiturn_trace(const MultiturnOptions& opts) {
-  if (opts.base.rate <= 0.0) {
-    throw std::invalid_argument("generate_multiturn_trace: rate");
-  }
+  require_rate("generate_multiturn_trace", opts.base.rate);
   if (opts.mean_turns < 1.0) {
     throw std::invalid_argument("generate_multiturn_trace: mean_turns >= 1");
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <thread>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "topology/builders.hpp"
 #include "topology/paths.hpp"
@@ -314,6 +315,96 @@ TEST(PathOracle, ConcurrentQueriesSolveEachSourceOnce) {
     EXPECT_EQ(seen[0][i]->edges, seen[1][i]->edges) << i;
   }
   EXPECT_EQ(oracle.sources_solved(), sources.size());
+}
+
+TEST(PathOracle, AlternatesMatchAlternatePaths) {
+  // alternates() must be a pure memoization of alternate_paths() for every
+  // GPU pair, heterogeneous and Ethernet-only, on both fabrics. The fleet
+  // keeps its 4 racks and 2 cores but shrinks each rack, so the all-pairs
+  // sweep stays quick under the sanitizers.
+  FleetClusterOptions fleet;
+  fleet.servers_per_rack = 2;
+  fleet.gpus_per_server = 4;
+  for (const Graph& g : {make_testbed(), make_fleet_cluster(fleet)}) {
+    const std::vector<NodeId> gpus = g.gpus();
+    for (const bool hetero : {true, false}) {
+      PathOptions opts;
+      opts.constraints.allow_nvlink = hetero;
+      const PathOracle oracle(g, opts);
+      std::size_t pairs = 0;
+      for (NodeId a : gpus) {
+        for (NodeId b : gpus) {
+          if (a == b) continue;
+          const std::vector<Path> direct = alternate_paths(g, a, b, 3, opts);
+          const std::vector<Path>& cached = oracle.alternates(a, b, 3);
+          ++pairs;
+          ASSERT_EQ(direct.size(), cached.size()) << a << " -> " << b;
+          for (std::size_t i = 0; i < direct.size(); ++i) {
+            ASSERT_EQ(direct[i].nodes, cached[i].nodes) << a << " -> " << b;
+            ASSERT_EQ(direct[i].edges, cached[i].edges) << a << " -> " << b;
+          }
+        }
+      }
+      EXPECT_EQ(oracle.alternates_solved(), pairs);
+      // A repeat query is served from the memo.
+      (void)oracle.alternates(gpus.front(), gpus.back(), 3);
+      EXPECT_EQ(oracle.alternates_solved(), pairs);
+      // k is part of the key.
+      (void)oracle.alternates(gpus.front(), gpus.back(), 2);
+      EXPECT_EQ(oracle.alternates_solved(), pairs + 1);
+      EXPECT_EQ(oracle.sources_solved(), 0u);
+    }
+  }
+}
+
+TEST(PathOracle, ConcurrentAlternatesSolveEachPairOnce) {
+  // KV routing may query one oracle from several threads: every pair must
+  // be searched exactly once and all threads must see the same routes.
+  const Graph g = make_testbed();
+  const PathOracle oracle(g);
+  const std::vector<NodeId> gpus = g.gpus();
+  std::vector<const std::vector<Path>*> seen[3];
+  auto query = [&](std::size_t t) {
+    for (NodeId a : gpus) {
+      for (NodeId b : gpus) {
+        if (a != b) seen[t].push_back(&oracle.alternates(a, b, 3));
+      }
+    }
+  };
+  {
+    std::jthread a(query, 0);
+    std::jthread b(query, 1);
+    std::jthread c(query, 2);
+  }
+  ASSERT_EQ(seen[0].size(), gpus.size() * (gpus.size() - 1));
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], seen[2]);
+  EXPECT_EQ(oracle.alternates_solved(), seen[0].size());
+  for (const std::vector<Path>* alts : seen[0]) EXPECT_FALSE(alts->empty());
+}
+
+TEST(PathOracle, FailingGraphChangeTripsInvariant) {
+  // A memo must never serve routes from a graph that changed under it.
+  if (!check::enabled()) {
+    GTEST_SKIP() << "checks compiled out (build with --preset validate)";
+  }
+  static int failures = 0;
+  failures = 0;
+  check::set_failure_handler(
+      [](const char*, const char*, int, const char*, const std::string&) {
+        ++failures;
+      });
+  Graph g = line_graph();
+  const PathOracle oracle(g);
+  (void)oracle.path(g.find("g0"), g.find("g1"));
+  g.node(g.find("g0")).gpu.memory_free = 0;  // bookkeeping, not a change
+  (void)oracle.alternates(g.find("g0"), g.find("g1"), 2);
+  EXPECT_EQ(failures, 0);
+  g.edge(1).capacity *= 0.5;
+  (void)oracle.path(g.find("g0"), g.find("g1"));
+  (void)oracle.alternates(g.find("g0"), g.find("g1"), 2);
+  check::set_failure_handler(nullptr);
+  EXPECT_EQ(failures, 2);
 }
 
 TEST(PathOracle, RespectsResidualBandwidth) {

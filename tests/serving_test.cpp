@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/heroserve.hpp"
+#include "obs/metrics.hpp"
 
 namespace hero::serve {
 namespace {
@@ -345,6 +347,38 @@ TEST(ClusterSim, RetirePrefixCacheSilencesHookAndDropsCoverage) {
   // Adoption after retirement is refused.
   sim.adopt_prefix(12345, 256);
   EXPECT_EQ(sim.cached_prefix_tokens(12345), 0u);
+}
+
+TEST(ClusterSim, RouteSearchesRunOncePerKvPair) {
+  // Every prefill batch moves one KV shard per prefill GPU, but the
+  // scheduler searches each (prefill GPU, kv_peer decode GPU) pair's
+  // alternates only on its first transfer.
+  ServeFixture f;
+  obs::MetricsRegistry metrics;
+  f.simulator.attach(obs::Sink(nullptr, &metrics));
+  ClusterSim sim(*f.network, *f.engine, *f.scheduler, f.plan, f.options());
+  f.scheduler->start();
+  const std::size_t requests = 20;
+  const ServingReport report = sim.run(f.trace(0.5, requests));
+  ASSERT_EQ(report.completed, requests);
+
+  auto gpus_of = [](const planner::ClusterPlan& cluster) {
+    std::vector<topo::NodeId> gpus;
+    for (const planner::GroupPlan& gp : cluster.stages) {
+      gpus.insert(gpus.end(), gp.gpus.begin(), gp.gpus.end());
+    }
+    return gpus;
+  };
+  const std::vector<topo::NodeId> pre = gpus_of(f.plan.prefill);
+  const std::vector<topo::NodeId> dec = gpus_of(f.plan.decode);
+  std::set<std::pair<topo::NodeId, topo::NodeId>> pairs;
+  for (std::size_t i = 0; i < pre.size(); ++i) {
+    pairs.emplace(pre[i], dec[planner::kv_peer(i, pre.size(), dec.size())]);
+  }
+  EXPECT_EQ(f.scheduler->route_searches(), pairs.size());
+  const obs::Counter* transfers = metrics.find_counter("serve.kv_transfers");
+  ASSERT_NE(transfers, nullptr);
+  EXPECT_GE(transfers->value(), requests);
 }
 
 }  // namespace

@@ -25,6 +25,25 @@ TEST(Graph, AddNodesAndEdges) {
   EXPECT_EQ(g.other_end(e, b), a);
 }
 
+TEST(Graph, VersionTracksRouteRelevantChanges) {
+  Graph g;
+  const NodeId a = g.add_gpu("a", GpuModel::kA100_40, 1, 0);
+  const NodeId s = g.add_switch("s", NodeKind::kAccessSwitch);
+  const EdgeId e = g.add_edge(a, s, LinkKind::kEthernet, 100 * units::Gbps);
+  const std::uint64_t built = g.version();
+  EXPECT_EQ(built, 3u);
+  // GPU memory bookkeeping (the planner's claim/release) is not a change.
+  g.node(a).gpu.memory_free = 0;
+  EXPECT_EQ(g.version(), built);
+  const Graph& view = g;
+  (void)view.edge(e);
+  EXPECT_EQ(g.version(), built);
+  g.edge(e).capacity *= 0.5;
+  EXPECT_EQ(g.version(), built + 1);
+  g.add_server("ps");
+  EXPECT_EQ(g.version(), built + 2);
+}
+
 TEST(Graph, OtherEndRejectsForeignNode) {
   Graph g;
   const NodeId a = g.add_gpu("a", GpuModel::kA100_40, 1, 0);

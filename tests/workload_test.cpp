@@ -43,8 +43,10 @@ TEST(Trace, PoissonRateMatches) {
 
 TEST(Trace, RejectsNonPositiveRate) {
   TraceOptions opts;
-  opts.rate = 0.0;
-  EXPECT_THROW(generate_trace(opts), std::invalid_argument);
+  for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    opts.rate = rate;
+    EXPECT_THROW(generate_trace(opts), std::invalid_argument) << rate;
+  }
 }
 
 TEST(Trace, LengthsWithinClamps) {
@@ -185,6 +187,11 @@ TEST(Diurnal, Validation) {
   opts.amplitude = 0.5;
   opts.period = 0.0;
   EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument);
+  opts.period = 100.0;
+  for (const double rate : {std::nan(""), HUGE_VAL}) {
+    opts.base.rate = rate;
+    EXPECT_THROW(generate_diurnal_trace(opts), std::invalid_argument) << rate;
+  }
 }
 
 TEST(FlashCrowd, DeterministicForSeed) {
@@ -234,6 +241,12 @@ TEST(FlashCrowd, RejectsBadOptions) {
   opts.burst_multiplier = 2.0;
   opts.burst_duration = 0.0;
   EXPECT_THROW(generate_flash_crowd_trace(opts), std::invalid_argument);
+  opts.burst_duration = 10.0;
+  for (const double rate : {std::nan(""), HUGE_VAL}) {
+    opts.base.rate = rate;
+    EXPECT_THROW(generate_flash_crowd_trace(opts), std::invalid_argument)
+        << rate;
+  }
 }
 
 // --- multi-turn sessions (prefix/KV-tier workload) ---
