@@ -152,6 +152,7 @@ struct DeployStack {
     out.events_executed = simulator.executed_events();
     out.events_scheduled = simulator.scheduled_events();
     out.events_cancelled = simulator.cancelled_events();
+    out.peak_pending_events = simulator.peak_pending_events();
     out.flownet = network.stats();
     out.route_searches = scheduler->route_searches();
     return out;

@@ -100,6 +100,8 @@ struct SimStats {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
+  /// Most live calendar entries at once (Simulator::peak_pending_events).
+  std::uint64_t peak_pending_events = 0;
   net::FlowNetStats flownet;
   /// Unicast route searches the scheduler ran (its memo misses).
   std::uint64_t route_searches = 0;

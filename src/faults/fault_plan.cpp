@@ -1,6 +1,7 @@
 #include "faults/fault_plan.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -107,6 +108,18 @@ class PlanParser {
     return value;
   }
 
+  /// A flap cycle count: an integer in [1, 2^32). Checked here, before
+  /// the narrowing cast, which is undefined for out-of-range values.
+  std::uint32_t parse_count() {
+    const double count = parse_number();
+    if (!(count >= 1.0 && count < 4294967296.0) ||
+        count != std::floor(count)) {
+      fail(strfmt("\"count\" must be an integer in [1, 2^32), got {}",
+                  count));
+    }
+    return static_cast<std::uint32_t>(count);
+  }
+
   void parse_events(FaultPlan& plan) {
     expect('[');
     skip_ws();
@@ -141,7 +154,7 @@ class PlanParser {
       } else if (key == "magnitude") {
         ev.magnitude = parse_number();
       } else if (key == "count") {
-        ev.count = static_cast<std::uint32_t>(parse_number());
+        ev.count = parse_count();
       } else if (key == "period") {
         ev.period = parse_number();
       } else {

@@ -14,6 +14,17 @@
 namespace hero::faults {
 namespace {
 
+/// Degraded stretch of each link_flap cycle (default: half the period).
+Time flap_down_time(const FaultEvent& ev) {
+  return ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
+}
+
+/// Plan checks run in every build: a plan is outside input.
+template <typename... Args>
+void require(bool ok, const char* fmt, const Args&... args) {
+  if (!ok) throw std::invalid_argument(strfmt(fmt, args...));
+}
+
 topo::NodeId node_by_name(const topo::Graph& g, const std::string& name) {
   for (topo::NodeId id = 0;
        id < static_cast<topo::NodeId>(g.node_count()); ++id) {
@@ -23,6 +34,66 @@ topo::NodeId node_by_name(const topo::Graph& g, const std::string& name) {
 }
 
 }  // namespace
+
+/// Element 2k injects cycle k at now + (at + k·period); element 2k+1
+/// recovers it at now + ((at + k·period) + down) — the times and the rank
+/// order of an eager loop over k. Each of the two streams is monotone in k,
+/// so advance() merges them by (time, rank).
+class FaultInjector::FlapSeries final : public sim::EventSeries {
+ public:
+  FlapSeries(FaultInjector& injector, const FaultEvent& ev,
+             topo::EdgeId edge, Time now, Time down)
+      : injector_(&injector), ev_(ev), edge_(edge), now_(now), down_(down) {}
+
+  [[nodiscard]] std::uint64_t size() const override {
+    return 2 * std::uint64_t{ev_.count};
+  }
+
+  bool advance(Time& at, std::uint64_t& rank) override {
+    const std::uint64_t n = ev_.count;
+    if (next_inject_ == n && next_recover_ == n) return false;
+    // A cycle's recovery never precedes its own injection (down > 0 and
+    // its rank is higher), so the recover stream trails the inject stream
+    // and is never exhausted first.
+    const Time recover_at = now_ + (start(next_recover_) + down_);
+    const bool injects_left = next_inject_ < n;
+    const Time inject_at =
+        injects_left ? now_ + start(next_inject_) : recover_at;
+    inject_ = injects_left &&
+              (inject_at < recover_at ||
+               (inject_at == recover_at && next_inject_ <= next_recover_));
+    if (inject_) {
+      at = inject_at;
+      rank = 2 * next_inject_++;
+    } else {
+      at = recover_at;
+      rank = 2 * next_recover_++ + 1;
+    }
+    return true;
+  }
+
+  void fire() override {
+    if (inject_) {
+      injector_->inject_link(ev_, edge_);
+    } else {
+      injector_->recover_link(ev_, edge_);
+    }
+  }
+
+ private:
+  [[nodiscard]] Time start(std::uint64_t k) const {
+    return ev_.at + static_cast<double>(k) * ev_.period;
+  }
+
+  FaultInjector* injector_;
+  FaultEvent ev_;
+  topo::EdgeId edge_;
+  Time now_;
+  Time down_;
+  std::uint64_t next_inject_ = 0;
+  std::uint64_t next_recover_ = 0;
+  bool inject_ = false;  ///< kind of the element advance() stepped to
+};
 
 FaultInjector::FaultInjector(net::FlowNetwork& network, FaultPlan plan,
                              Hooks hooks)
@@ -50,36 +121,42 @@ topo::EdgeId FaultInjector::resolve_edge(const FaultEvent& ev) const {
 }
 
 void FaultInjector::validate(const FaultEvent& ev) const {
-  HERO_REQUIRE(ev.at >= 0.0 && ev.duration >= 0.0,
-               "fault {}: negative time", to_string(ev.kind));
+  require(ev.at >= 0.0 && ev.duration >= 0.0,
+          "fault {}: at {} and duration {} must be non-negative",
+          to_string(ev.kind), ev.at, ev.duration);
   switch (ev.kind) {
     case FaultKind::kLinkDegrade:
-      HERO_REQUIRE(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
-                   "link_degrade factor {} not in (0,1]", ev.magnitude);
+      require(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
+              "link_degrade factor {} not in (0,1]", ev.magnitude);
       (void)resolve_edge(ev);
       break;
     case FaultKind::kLinkFlap:
-      HERO_REQUIRE(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
-                   "link_flap factor {} not in (0,1]", ev.magnitude);
-      HERO_REQUIRE(ev.count >= 1 && ev.period > 0.0,
-                   "link_flap needs count >= 1 and period > 0");
+      require(ev.magnitude > 0.0 && ev.magnitude <= 1.0,
+              "link_flap factor {} not in (0,1]", ev.magnitude);
+      require(ev.count >= 1 && ev.period > 0.0,
+              "link_flap needs count >= 1 and period > 0 (count {}, "
+              "period {})",
+              ev.count, ev.period);
+      require(flap_down_time(ev) <= ev.period,
+              "link_flap: down time {} exceeds period {}",
+              flap_down_time(ev), ev.period);
       (void)resolve_edge(ev);
       break;
     case FaultKind::kSlotExhaust:
-      HERO_REQUIRE(ev.magnitude >= 1.0, "slot_exhaust: {} slots",
-                   ev.magnitude);
+      require(ev.magnitude >= 1.0 && ev.magnitude < 4294967296.0,
+              "slot_exhaust: {} slots not in [1, 2^32)", ev.magnitude);
       (void)resolve_node(ev);
       break;
     case FaultKind::kSwitchRestart:
       (void)resolve_node(ev);
       break;
     case FaultKind::kGpuSlow:
-      HERO_REQUIRE(ev.magnitude >= 1.0,
-                   "gpu_slow multiplier {} < 1 (speedup?)", ev.magnitude);
+      require(ev.magnitude >= 1.0, "gpu_slow multiplier {} < 1 (speedup?)",
+              ev.magnitude);
       (void)resolve_node(ev);
       break;
     case FaultKind::kSyncDelay:
-      HERO_REQUIRE(ev.magnitude >= 0.0, "sync_delay of {}s", ev.magnitude);
+      require(ev.magnitude >= 0.0, "sync_delay of {}s", ev.magnitude);
       break;
     case FaultKind::kSyncDrop:
       break;
@@ -108,17 +185,8 @@ void FaultInjector::schedule(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kLinkFlap: {
-      const topo::EdgeId edge = resolve_edge(ev);
-      const Time down = ev.duration > 0.0 ? ev.duration : ev.period / 2.0;
-      HERO_REQUIRE(down <= ev.period,
-                   "link_flap: down time {} exceeds period {}", down,
-                   ev.period);
-      for (std::uint32_t k = 0; k < ev.count; ++k) {
-        const Time start = ev.at + static_cast<double>(k) * ev.period;
-        s.schedule_in(start, [this, ev, edge] { inject_link(ev, edge); });
-        s.schedule_in(start + down,
-                      [this, ev, edge] { recover_link(ev, edge); });
-      }
+      s.schedule_series(std::make_unique<FlapSeries>(
+          *this, ev, resolve_edge(ev), s.now(), flap_down_time(ev)));
       break;
     }
     case FaultKind::kSlotExhaust: {

@@ -61,6 +61,9 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t recovered() const { return recovered_; }
 
  private:
+  /// One link_flap's inject/recover cycles as a calendar series.
+  class FlapSeries;
+
   net::FlowNetwork* network_;
   FaultPlan plan_;
   Hooks hooks_;

@@ -10,22 +10,23 @@
 //  - every live event owns a pool slot; the heap stores slot indices and
 //    each slot remembers its heap position, so cancel() is a true O(log n)
 //    removal — no tombstones, pending count == heap size by construction;
-//  - slots are recycled through a free list, so steady-state scheduling
-//    performs no allocation (the std::function's own capture buffer aside);
+//  - slots are recycled through a free list and callbacks are small-buffer
+//    hero::Callbacks, so steady-state scheduling performs no allocation;
 //  - handles encode (generation, slot); a stale or bogus handle simply
 //    fails the generation check, keeping cancel() a safe no-op.
 //
-// Ordering is (time, sequence): `seq` is a monotone counter stamped at
-// insertion, which preserves the FIFO-among-equal-times contract the rest
-// of the stack depends on for determinism.
+// Ordering is (time, sequence): `seq` is a unique stamp chosen by the
+// Simulator — normally a counter at insertion, or a number reserved ahead
+// for a lazily fed series — which preserves the FIFO-among-equal-times
+// contract the rest of the stack depends on for determinism.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/callback.hpp"
 #include "common/check.hpp"
 #include "common/units.hpp"
 
@@ -38,10 +39,10 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = hero::Callback<void()>;
 
-  /// Insert an event. `seq` must be strictly increasing across calls — it is
-  /// the FIFO tie-break among equal times.
+  /// Insert an event. `seq` must be unique among pending events — it is the
+  /// tie-break among equal times.
   EventId push(Time at, std::uint64_t seq, Callback cb) {
     std::uint32_t slot = 0;
     if (!free_.empty()) {

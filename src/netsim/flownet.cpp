@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -30,7 +29,10 @@ FlowNetwork::FlowNetwork(sim::Simulator& simulator, const topo::Graph& graph)
       link_flows_(graph.edge_count() * 2),
       link_is_dirty_(graph.edge_count() * 2, 0),
       link_force_refresh_(graph.edge_count() * 2, 0),
-      link_mark_(graph.edge_count() * 2, 0) {}
+      link_mark_(graph.edge_count() * 2, 0),
+      solve_mark_(graph.edge_count() * 2, 0),
+      solve_residual_(graph.edge_count() * 2, 0.0),
+      solve_weight_(graph.edge_count() * 2, 0.0) {}
 
 DirectedLink FlowNetwork::link_at(const Transfer& t, std::size_t hop) const {
   const topo::EdgeId e = t.path.edges[hop];
@@ -63,7 +65,7 @@ void FlowNetwork::retire_slot(std::uint32_t slot) {
   Transfer& t = pool_[slot];
   HERO_INVARIANT(t.pending_event == sim::kInvalidEvent,
                  "transfer {} retired with a live event", t.id);
-  slot_of_.erase(t.id);
+  --live_transfers_;
   t.id = kInvalidTransfer;
   t.in_flight = false;
   t.on_complete = nullptr;
@@ -116,9 +118,10 @@ TransferId FlowNetwork::start_transfer(const topo::Path& path, Bytes bytes,
     // Local (same-node) transfers or empty payloads complete "immediately"
     // but still asynchronously, so callers get uniform callback semantics.
     if (opts.on_complete) {
-      sim_->schedule_in(0.0, [cb = std::move(opts.on_complete), id] {
-        cb(id);
-      });
+      sim_->schedule_in(0.0,
+                        [cb = std::move(opts.on_complete), id]() mutable {
+                          cb(id);
+                        });
     }
     return id;
   }
@@ -137,21 +140,19 @@ TransferId FlowNetwork::start_transfer(const topo::Path& path, Bytes bytes,
   t.last_update = sim_->now();
   t.pending_event = sim::kInvalidEvent;
   t.on_complete = std::move(opts.on_complete);
-  slot_of_.emplace(id, slot);
+  ++live_transfers_;
   if (obs::EventTracer* tr = sim_->tracer()) {
     tr->async_begin(
-        sim_->now(), id, "net.flow",
-        graph_->node(path.nodes.front()).name + "->" +
-            graph_->node(path.nodes.back()).name,
+        sim_->now(), id, "net.flow", flow_label(t),
         {obs::arg("bytes", raw(bytes)), obs::arg("hops", path.edges.size()),
          obs::arg("pipelined", opts.pipelined)});
     tr->counter(sim_->now(), "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(live_transfers_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.transfers").add();
     m->gauge("net.active_transfers")
-        .set(sim_->now(), static_cast<double>(slot_of_.size()));
+        .set(sim_->now(), static_cast<double>(live_transfers_));
   }
   begin_hop(slot);
   return id;
@@ -197,9 +198,10 @@ void FlowNetwork::activate(std::uint32_t slot, TransferId id) {
 }
 
 void FlowNetwork::cancel_transfer(TransferId id) {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;
-  const std::uint32_t slot = it->second;
+  if (id == kInvalidTransfer) return;
+  std::uint32_t slot = 0;
+  while (slot < pool_.size() && pool_[slot].id != id) ++slot;
+  if (slot == pool_.size()) return;
   Transfer& t = pool_[slot];
   if (t.pending_event != sim::kInvalidEvent) {
     sim_->cancel(t.pending_event);
@@ -213,18 +215,19 @@ void FlowNetwork::cancel_transfer(TransferId id) {
     --in_flight_count_;
     detach_links(slot);
   }
-  std::string flow_name = flow_label(t);
+  obs::EventTracer* tr = sim_->tracer();
+  std::string flow_name = tr != nullptr ? flow_label(t) : std::string();
   retire_slot(slot);
-  if (obs::EventTracer* tr = sim_->tracer()) {
+  if (tr != nullptr) {
     tr->async_end(sim_->now(), id, "net.flow", std::move(flow_name),
                   {obs::arg("cancelled", true)});
     tr->counter(sim_->now(), "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(live_transfers_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.cancelled").add();
     m->gauge("net.active_transfers")
-        .set(sim_->now(), static_cast<double>(slot_of_.size()));
+        .set(sim_->now(), static_cast<double>(live_transfers_));
   }
   if (was_in_flight) reallocate_dirty();
 }
@@ -277,7 +280,7 @@ void FlowNetwork::collect_all_in_flight(
 }
 
 void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
-                                  std::vector<Bandwidth>& rates) const {
+                                  std::vector<Bandwidth>& rates) {
   // Weighted progressive filling, generalized to flows spanning several
   // links (pipelined mode): fixing a flow at the bottleneck's fair share
   // consumes capacity on every other link it crosses. `slots` arrives
@@ -285,33 +288,36 @@ void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
   // therefore every floating-point result — match the whole-fabric solve
   // restricted to this component, bit for bit.
   rates.assign(slots.size(), 0.0);
-  struct LinkState {
-    Bandwidth residual = 0.0;
-    double weight_sum = 0.0;
-  };
-  // Ordered by directed-link index: when two links tie for the bottleneck
-  // share, the winner must not depend on hash order (it decides which
-  // flows get fixed first, and therefore every later rate).
-  std::map<std::size_t, LinkState> links;
+  const std::uint64_t epoch = ++solve_epoch_;
+  solve_links_.clear();
   for (const std::uint32_t slot : slots) {
     const Transfer& t = pool_[slot];
     for (const DirectedLink& link : t.spans) {
-      auto [it, inserted] =
-          links.try_emplace(link.index(), LinkState{link_capacity(link)});
-      it->second.weight_sum += t.weight;
+      const std::size_t idx = link.index();
+      if (solve_mark_[idx] != epoch) {
+        solve_mark_[idx] = epoch;
+        solve_residual_[idx] = link_capacity(link);
+        solve_weight_[idx] = 0.0;
+        solve_links_.push_back(idx);
+      }
+      solve_weight_[idx] += t.weight;
     }
   }
+  // Scan in directed-link index order: when two links tie for the
+  // bottleneck share, the lowest index wins (it decides which flows get
+  // fixed first, and therefore every later rate).
+  std::sort(solve_links_.begin(), solve_links_.end());
 
-  std::vector<std::uint32_t> unfixed(slots.size());
-  for (std::uint32_t i = 0; i < unfixed.size(); ++i) unfixed[i] = i;
+  unfixed_.resize(slots.size());
+  for (std::uint32_t i = 0; i < unfixed_.size(); ++i) unfixed_[i] = i;
 
-  while (!unfixed.empty()) {
+  while (!unfixed_.empty()) {
     // Find the bottleneck link: minimal fair share per unit weight.
     Bandwidth best_share = std::numeric_limits<Bandwidth>::infinity();
     std::size_t best_link = ~std::size_t{0};
-    for (const auto& [idx, state] : links) {
-      if (state.weight_sum <= 0) continue;
-      const Bandwidth share = state.residual / state.weight_sum;
+    for (const std::size_t idx : solve_links_) {
+      if (solve_mark_[idx] != epoch || solve_weight_[idx] <= 0) continue;
+      const Bandwidth share = solve_residual_[idx] / solve_weight_[idx];
       if (share < best_share) {
         best_share = share;
         best_link = idx;
@@ -320,10 +326,9 @@ void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
     if (best_link == ~std::size_t{0}) break;
 
     // Fix every unfixed transfer crossing the bottleneck; release their
-    // demand from the other links they span.
-    std::vector<std::uint32_t> rest;
-    rest.reserve(unfixed.size());
-    for (const std::uint32_t i : unfixed) {
+    // demand from the other links they span that are still unsolved.
+    unfixed_next_.clear();
+    for (const std::uint32_t i : unfixed_) {
       const Transfer& t = pool_[slots[i]];
       const bool on_bottleneck =
           std::any_of(t.spans.begin(), t.spans.end(),
@@ -331,22 +336,20 @@ void FlowNetwork::solve_component(const std::vector<std::uint32_t>& slots,
                         return l.index() == best_link;
                       });
       if (!on_bottleneck) {
-        rest.push_back(i);
+        unfixed_next_.push_back(i);
         continue;
       }
       rates[i] = best_share * t.weight;
       for (const DirectedLink& link : t.spans) {
-        if (link.index() == best_link) continue;
-        auto it = links.find(link.index());
-        if (it != links.end()) {
-          it->second.residual =
-              std::max(Bandwidth{0.0}, it->second.residual - rates[i]);
-          it->second.weight_sum -= t.weight;
-        }
+        const std::size_t idx = link.index();
+        if (idx == best_link || solve_mark_[idx] != epoch) continue;
+        solve_residual_[idx] =
+            std::max(Bandwidth{0.0}, solve_residual_[idx] - rates[i]);
+        solve_weight_[idx] -= t.weight;
       }
     }
-    links.erase(best_link);
-    unfixed.swap(rest);
+    solve_mark_[best_link] = 0;  // solved: out of every later scan
+    unfixed_.swap(unfixed_next_);
   }
 }
 
@@ -535,17 +538,18 @@ void FlowNetwork::on_hop_complete(std::uint32_t slot, TransferId id) {
                  "transfer {} finished on hop {}/{}", id, t.hop,
                  t.path.edges.size());
   auto cb = std::move(t.on_complete);
-  std::string flow_name = flow_label(t);
+  obs::EventTracer* tr = sim_->tracer();
+  std::string flow_name = tr != nullptr ? flow_label(t) : std::string();
   retire_slot(slot);
-  if (obs::EventTracer* tr = sim_->tracer()) {
+  if (tr != nullptr) {
     tr->async_end(now, id, "net.flow", std::move(flow_name));
     tr->counter(now, "net.active_transfers",
-                static_cast<double>(slot_of_.size()));
+                static_cast<double>(live_transfers_));
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("net.completed").add();
     m->gauge("net.active_transfers")
-        .set(now, static_cast<double>(slot_of_.size()));
+        .set(now, static_cast<double>(live_transfers_));
   }
   reallocate_dirty();
   if (cb) cb(id);
@@ -608,7 +612,7 @@ Bytes FlowNetwork::delivered_bytes(DirectedLink link) const {
 
 void FlowNetwork::debug_dump() const {
   std::vector<std::uint32_t> slots;
-  slots.reserve(slot_of_.size());
+  slots.reserve(live_transfers_);
   for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
     if (pool_[slot].id != kInvalidTransfer) slots.push_back(slot);
   }

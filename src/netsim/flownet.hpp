@@ -13,12 +13,17 @@
 // set mean a transfer add/remove/degrade re-solves only the bottleneck
 // component it touches, not the whole fabric (the max-min solution
 // decomposes exactly by connected components of the flow/link occupancy
-// graph). Flows only accrue progress and reschedule their completion events
-// when their rate actually changes, so an event on one rack costs nothing
-// on an idle rack. set_full_solve() forces the classic whole-fabric solve —
-// byte-identical output, used by the equivalence gates — and
+// graph). Flows only accrue progress and reschedule their completion
+// events when their rate actually changes, so an event on one rack costs
+// nothing on an idle rack. set_full_solve() forces the classic whole-fabric
+// solve — byte-identical output, used by the equivalence gates — and
 // set_solve_validation() cross-checks every incremental round against a
 // full solve (on by default in HERO_VALIDATE builds).
+//
+// The hot path allocates nothing in steady state: transfers live in a
+// recycled pool counted by a live-transfer counter, completion callbacks
+// are small-buffer hero::Callbacks, and the max-min solve works in
+// epoch-marked per-directed-link scratch arrays.
 //
 // The network also keeps per-directed-link utilization accounting — the
 // simulated equivalent of the switch hardware counters and DCGM NVLink
@@ -26,12 +31,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/callback.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "netsim/sim.hpp"
@@ -58,9 +62,10 @@ struct DirectedLink {
   }
 };
 
+/// Move-only (the callback is): pass by value with std::move.
 struct TransferOptions {
   /// Invoked at completion of the final hop.
-  std::function<void(TransferId)> on_complete;
+  Callback<void(TransferId)> on_complete;
   /// Optional priority weight for max-min sharing (>= share of bandwidth on
   /// contended links proportional to weight). 1.0 = normal.
   double weight = 1.0;
@@ -121,7 +126,7 @@ class FlowNetwork {
   void cancel_transfer(TransferId id);
 
   [[nodiscard]] std::size_t active_transfers() const {
-    return slot_of_.size();
+    return live_transfers_;
   }
 
   // --- monitoring (the "hardware counters") ---
@@ -183,7 +188,7 @@ class FlowNetwork {
     bool in_flight = false;  // false while waiting out hop latency
     Time last_update = 0;
     sim::EventId pending_event = sim::kInvalidEvent;  // activation/completion
-    std::function<void(TransferId)> on_complete;
+    Callback<void(TransferId)> on_complete;
     /// Directed links occupied while in flight: the current hop for
     /// store-and-forward flows, every hop for pipelined ones. Cached at
     /// activation so the hot loops never re-derive directions.
@@ -219,9 +224,10 @@ class FlowNetwork {
   void reallocate_dirty();
   void collect_all_in_flight(std::vector<std::uint32_t>& out) const;
   /// Weighted progressive filling over `slots` (must be sorted by transfer
-  /// id); writes per-slot rates into `rates`. Pure: mutates no flow state.
+  /// id); writes per-slot rates into `rates`. Mutates no flow state, only
+  /// the solve_* scratch.
   void solve_component(const std::vector<std::uint32_t>& slots,
-                       std::vector<Bandwidth>& rates) const;
+                       std::vector<Bandwidth>& rates);
   void refresh_link(std::size_t index, Time now,
                     obs::MetricsRegistry* metrics);
   void validate_against_full_solve();
@@ -231,11 +237,11 @@ class FlowNetwork {
   TransferId next_id_ = 1;
 
   /// Transfer pool: slots are recycled through free_slots_ so steady-state
-  /// transfer churn performs no allocation. slot_of_ is lookup-only (never
-  /// iterated — id-ordered walks go through the pool or the link indexes).
+  /// transfer churn performs no allocation. Id-ordered walks go through the
+  /// pool or the link indexes.
   std::vector<Transfer> pool_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<TransferId, std::uint32_t> slot_of_;
+  std::size_t live_transfers_ = 0;  ///< occupied pool slots
   std::size_t in_flight_count_ = 0;
 
   std::vector<double> degradation_;          // per edge
@@ -261,6 +267,18 @@ class FlowNetwork {
   std::vector<Bandwidth> solved_rates_;
   std::vector<std::uint32_t> validate_flows_;
   std::vector<Bandwidth> validate_rates_;
+
+  // solve_component scratch: per-directed-link residual and weight sum,
+  // live while solve_mark_ equals solve_epoch_ (a fixed bottleneck drops
+  // out by clearing its mark), plus the solve's sorted link list and its
+  // unfixed-flow worklists.
+  std::vector<std::uint64_t> solve_mark_;
+  std::uint64_t solve_epoch_ = 0;
+  std::vector<Bandwidth> solve_residual_;
+  std::vector<double> solve_weight_;
+  std::vector<std::size_t> solve_links_;
+  std::vector<std::uint32_t> unfixed_;
+  std::vector<std::uint32_t> unfixed_next_;
 
   bool full_solve_ = false;
   bool validate_solves_ = check::enabled();

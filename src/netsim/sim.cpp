@@ -9,7 +9,41 @@ namespace hero::sim {
 
 EventId Simulator::schedule(Time at, Callback cb) {
   if (at < now_) throw std::invalid_argument("Simulator: event in the past");
-  return queue_.push(at, next_seq_++, std::move(cb));
+  const EventId id = queue_.push(at, next_seq_++, std::move(cb));
+  note_pending();
+  return id;
+}
+
+void Simulator::schedule_series(std::unique_ptr<EventSeries> series) {
+  const std::uint64_t base = next_seq_;
+  next_seq_ += series->size();
+  Time at = 0.0;
+  std::uint64_t rank = 0;
+  if (!series->advance(at, rank)) return;
+  // Elements only move forward, so the head is the earliest one.
+  if (at < now_) throw std::invalid_argument("Simulator: event in the past");
+  push_series(std::move(series), base, at, rank);
+}
+
+void Simulator::push_series(std::unique_ptr<EventSeries> series,
+                            std::uint64_t base, Time at, std::uint64_t rank) {
+  if (rank >= series->size()) {
+    throw std::logic_error("Simulator: series rank out of range");
+  }
+  // The pending closure owns the series: elements left in the calendar
+  // when a caller stops stepping stay safe to fire later.
+  queue_.push(at, base + rank,
+              [this, series = std::move(series), base, at, rank]() mutable {
+                series->fire();
+                Time next_at = 0.0;
+                std::uint64_t next_rank = 0;
+                if (!series->advance(next_at, next_rank)) return;
+                if (!(next_at > at || (next_at == at && next_rank > rank))) {
+                  throw std::logic_error("Simulator: series out of order");
+                }
+                push_series(std::move(series), base, next_at, next_rank);
+              });
+  note_pending();
 }
 
 EventId Simulator::schedule_in(Time delay, Callback cb) {

@@ -145,21 +145,34 @@ void PolicyTable::update_penalties(const net::FlowNetwork* net,
     return cap;
   };
 
+  // The weights do not depend on the selected policy: read them once per
+  // call. Each policy's total is summed in edge order, so every ratio is
+  // bitwise the one a per-(sel, other) sum would give.
+  edge_weight_.resize(policies_.size());
+  weight_total_.assign(policies_.size(), 0.0);
+  for (std::size_t other = 0; other < policies_.size(); ++other) {
+    const std::vector<topo::EdgeId>& edges = policies_[other].edges;
+    std::vector<Bandwidth>& weights = edge_weight_[other];
+    weights.resize(edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      weights[i] = edge_weight(edges[i]);
+      weight_total_[other] += weights[i];
+    }
+  }
+
   for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
     for (std::size_t other = 0; other < policies_.size(); ++other) {
       if (other == sel) {
         penalty_[sel][other] = 1.0;
         continue;
       }
-      const std::vector<topo::EdgeId>& edges = policies_[other].edges;
+      const std::vector<Bandwidth>& weights = edge_weight_[other];
       const std::vector<bool>& in_sel = shared_[sel][other];
       Bandwidth shared = 0.0;
-      Bandwidth total = 0.0;
-      for (std::size_t i = 0; i < edges.size(); ++i) {
-        const Bandwidth w = edge_weight(edges[i]);
-        total += w;
-        if (in_sel[i]) shared += w;
+      for (std::size_t i = 0; i < weights.size(); ++i) {
+        if (in_sel[i]) shared += weights[i];
       }
+      const Bandwidth total = weight_total_[other];
       const double ratio = total > 0 ? shared / total : 0.0;
       penalty_[sel][other] =
           (1.0 - cfg.gamma) * penalty_[sel][other] + cfg.gamma * ratio;

@@ -100,6 +100,10 @@ class PolicyTable {
   /// shared_[c*][c][i]: whether edge i of policy c is also an edge of c*
   /// (the c* ∩ c of Eq. 18), fixed when the table is built.
   std::vector<std::vector<std::vector<bool>>> shared_;
+  /// update_penalties scratch: B(e) of each policy's edges, read once per
+  /// call, and each policy's sum of them (the Eq. 18 denominator).
+  std::vector<std::vector<Bandwidth>> edge_weight_;
+  std::vector<Bandwidth> weight_total_;
 };
 
 }  // namespace hero::online

@@ -697,6 +697,47 @@ ServingReport ClusterSim::run(const wl::Trace& trace) {
   return report;
 }
 
+namespace {
+
+/// A trace's arrivals as one calendar series. The trace may be unsorted:
+/// elements fire in (arrival, index) order, and an element's rank is its
+/// trace index — the order an eager loop would have scheduled it in.
+/// Owns a copy of the trace, since arrivals still pending at the deadline
+/// outlive run_trace().
+class ArrivalSeries final : public sim::EventSeries {
+ public:
+  ArrivalSeries(std::function<void(const wl::Request&)> arrive,
+                const wl::Trace& trace)
+      : arrive_(std::move(arrive)), trace_(trace), order_(trace.size()) {
+    for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::stable_sort(order_.begin(), order_.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return trace_[a].arrival < trace_[b].arrival;
+                     });
+  }
+
+  [[nodiscard]] std::uint64_t size() const override { return order_.size(); }
+
+  bool advance(Time& at, std::uint64_t& rank) override {
+    if (next_ == order_.size()) return false;
+    current_ = order_[next_++];
+    at = trace_[current_].arrival;
+    rank = current_;
+    return true;
+  }
+
+  void fire() override { arrive_(trace_[current_]); }
+
+ private:
+  std::function<void(const wl::Request&)> arrive_;
+  wl::Trace trace_;
+  std::vector<std::size_t> order_;  ///< trace indices in firing order
+  std::size_t next_ = 0;
+  std::size_t current_ = 0;
+};
+
+}  // namespace
+
 void run_trace(net::FlowNetwork& network, const coll::CollectiveEngine& engine,
                const wl::Trace& trace,
                std::function<void(const wl::Request&)> arrive,
@@ -711,13 +752,8 @@ void run_trace(net::FlowNetwork& network, const coll::CollectiveEngine& engine,
   const std::uint64_t tr_fb_before =
       tr ? tr->count("ina_fallback", obs::Phase::kInstant) : 0;
 
-  // Arrival events outlive this call when the deadline hits, so they share
-  // ownership of the action instead of referring to a local.
-  auto act = std::make_shared<const std::function<void(const wl::Request&)>>(
-      std::move(arrive));
-  for (const wl::Request& r : trace) {
-    sim.schedule(r.arrival, [act, r] { (*act)(r); });
-  }
+  sim.schedule_series(
+      std::make_unique<ArrivalSeries>(std::move(arrive), trace));
 
   // Count-driven exit: autoscaler ticks keep the event queue non-empty
   // forever, so the loop ends on the retired count, not queue exhaustion.

@@ -46,6 +46,10 @@ Trace read_trace_csv(std::istream& in) {
           strfmt("trace csv line {}: expected 3 or 5 fields", line_no));
     }
     for (int f = 0; f < parsed; ++f) {
+      if (!std::isfinite(fields[f])) {
+        throw std::runtime_error(
+            strfmt("trace csv line {}: non-finite value", line_no));
+      }
       if (fields[f] < 0) {
         throw std::runtime_error(
             strfmt("trace csv line {}: negative value", line_no));

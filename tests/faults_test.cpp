@@ -24,6 +24,16 @@ NodeId node_named(const topo::Graph& g, const std::string& name) {
   return topo::kInvalidNode;
 }
 
+topo::EdgeId edge_named(const topo::Graph& g, const std::string& a,
+                        const std::string& b) {
+  const NodeId to = node_named(g, b);
+  for (const topo::Adjacency& adj : g.neighbors(node_named(g, a))) {
+    if (adj.peer == to) return adj.edge;
+  }
+  ADD_FAILURE() << "no edge " << a << "-" << b;
+  return topo::kInvalidEdge;
+}
+
 // --- plan parsing ---
 
 TEST(FaultPlanParse, ParsesEveryField) {
@@ -70,6 +80,19 @@ TEST(FaultPlanParse, RejectsMalformedPlans) {
   // Trailing garbage.
   EXPECT_THROW(parse_fault_plan(R"({"events": []} extra)"),
                std::runtime_error);
+  // Flap counts that are not integers in [1, 2^32).
+  for (const char* count : {"-1", "0", "2.5", "1e12", "4294967296", "nan"}) {
+    EXPECT_THROW(
+        parse_fault_plan(std::string(R"({"events": [{"kind": "link_flap", )") +
+                         R"("count": )" + count + "}]}"),
+        std::runtime_error)
+        << "count " << count;
+  }
+  EXPECT_EQ(parse_fault_plan(
+                R"({"events": [{"kind": "link_flap", "count": 4294967295}]})")
+                .events[0]
+                .count,
+            4294967295u);
 }
 
 // --- injector failure domains ---
@@ -99,6 +122,58 @@ TEST(FaultInjector, UnknownTargetThrowsOnArm) {
       f.event(FaultKind::kGpuSlow, 0.0, 1.0, "no-such-gpu", 2.0));
   FaultInjector injector(f.network, plan, {});
   EXPECT_THROW(injector.arm(), std::invalid_argument);
+}
+
+TEST(FaultInjector, OutOfRangePlanValuesThrowOnArmInEveryBuild) {
+  InjectorFixture f;
+  std::vector<FaultEvent> bad;
+  bad.push_back(f.event(FaultKind::kLinkDegrade, -1.0, 1.0, "w0g1-sw1", 0.5));
+  bad.push_back(f.event(FaultKind::kLinkDegrade, 1.0, -1.0, "w0g1-sw1", 0.5));
+  bad.push_back(f.event(FaultKind::kLinkDegrade, 1.0, 1.0, "w0g1-sw1", 1.5));
+  bad.push_back(f.event(FaultKind::kGpuSlow, 1.0, 1.0, "w0g0", 0.5));
+  bad.push_back(f.event(FaultKind::kSlotExhaust, 1.0, 1.0, "sw0", 1e12));
+  bad.push_back(f.event(FaultKind::kSyncDelay, 1.0, 1.0, "", -0.1));
+  FaultEvent long_down =
+      f.event(FaultKind::kLinkFlap, 1.0, 2.0, "w0g1-sw1", 0.05);
+  long_down.period = 0.5;
+  long_down.count = 4;
+  bad.push_back(long_down);
+  FaultEvent no_period = long_down;
+  no_period.duration = 0.0;
+  no_period.period = 0.0;
+  bad.push_back(no_period);
+  for (const FaultEvent& ev : bad) {
+    FaultPlan plan;
+    plan.events.push_back(ev);
+    FaultInjector injector(f.network, plan, {});
+    EXPECT_THROW(injector.arm(), std::invalid_argument) << to_string(ev.kind);
+  }
+  EXPECT_EQ(f.simulator.pending_events(), 0u);
+}
+
+TEST(FaultInjector, FullDutyFlapRecoversBeforeTheNextInjection) {
+  // duration == period: cycle k's recovery and cycle k+1's injection fall
+  // on the same instant, and fire in plan order — recover, then inject —
+  // so the link stays degraded across the boundary.
+  InjectorFixture f;
+  FaultPlan plan;
+  FaultEvent ev = f.event(FaultKind::kLinkFlap, 0.0, 0.5, "w0g1-sw1", 0.25);
+  ev.period = 0.5;
+  ev.count = 3;
+  plan.events.push_back(ev);
+  FaultInjector injector(f.network, plan, {});
+  injector.arm();
+  const topo::EdgeId edge = edge_named(f.graph, "w0g1", "sw1");
+  f.simulator.run_until(0.75);
+  EXPECT_DOUBLE_EQ(f.network.link_degradation(edge), 0.25);
+  EXPECT_EQ(injector.injected(), 2u);
+  EXPECT_EQ(injector.recovered(), 1u);
+  f.simulator.run_until(1.25);
+  EXPECT_DOUBLE_EQ(f.network.link_degradation(edge), 0.25);
+  f.simulator.run();
+  EXPECT_DOUBLE_EQ(f.network.link_degradation(edge), 1.0);
+  EXPECT_EQ(injector.injected(), 3u);
+  EXPECT_EQ(injector.recovered(), 3u);
 }
 
 TEST(FaultInjector, LinkFlapCyclesDegradation) {

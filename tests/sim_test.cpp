@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "netsim/sim.hpp"
 
@@ -219,6 +224,183 @@ TEST(Simulator, CancelStressMatchesReferenceModel) {
   EXPECT_EQ(fired, want);
   EXPECT_EQ(s.executed_events(), want.size());
   EXPECT_EQ(s.cancelled_events(), 100u);
+}
+
+/// A series over caller-given times in rank order (possibly unsorted, with
+/// duplicates): fires in (time, rank) order and reports each rank fired.
+class VectorSeries final : public EventSeries {
+ public:
+  VectorSeries(std::vector<double> times,
+               std::function<void(std::size_t)> fire)
+      : times_(std::move(times)), fire_(std::move(fire)),
+        order_(times_.size()) {
+    for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::stable_sort(order_.begin(), order_.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return times_[a] < times_[b];
+                     });
+  }
+  [[nodiscard]] std::uint64_t size() const override { return times_.size(); }
+  bool advance(Time& at, std::uint64_t& rank) override {
+    if (next_ == order_.size()) return false;
+    current_ = order_[next_++];
+    at = times_[current_];
+    rank = current_;
+    return true;
+  }
+  void fire() override { fire_(current_); }
+
+ private:
+  std::vector<double> times_;
+  std::function<void(std::size_t)> fire_;
+  std::vector<std::size_t> order_;
+  std::size_t next_ = 0;
+  std::size_t current_ = 0;
+};
+
+/// Drives one simulator through a fixed script — individual events before
+/// and after a batch, follow-ups scheduled from inside events — with the
+/// batch scheduled either eagerly (one schedule() per element, in rank
+/// order) or as one series. Returns the firing log.
+std::vector<std::string> run_script(bool as_series,
+                                    const std::vector<double>& batch,
+                                    Simulator& s) {
+  std::vector<std::string> log;
+  auto record = [&log, &s](std::string what) {
+    log.push_back(what + "@" + std::to_string(raw(s.now())));
+  };
+  s.schedule(1.0, [&] { record("a0"); });
+  s.schedule(2.0, [&] {
+    record("a1");
+    // Same time as batch elements already queued: fires after them.
+    s.schedule_in(0.0, [&] { record("a1-followup"); });
+  });
+  auto fire = [&](std::size_t i) {
+    record("b" + std::to_string(i));
+    if (i % 3 == 0) {
+      s.schedule_in(0.5, [&, i] { record("f" + std::to_string(i)); });
+    }
+  };
+  if (as_series) {
+    s.schedule_series(std::make_unique<VectorSeries>(batch, fire));
+  } else {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      s.schedule(batch[i], [fire, i] { fire(i); });
+    }
+  }
+  s.schedule(2.0, [&] { record("c0"); });
+  s.schedule(3.5, [&] { record("c1"); });
+  s.run();
+  return log;
+}
+
+TEST(SimulatorSeries, FiresInExactlyTheEagerOrder) {
+  // Unsorted, with duplicate times and ties against individual events
+  // scheduled before (a1 at 2.0) and after (c0 at 2.0, c1 at 3.5).
+  const std::vector<double> batch = {3.0, 2.0, 1.0, 2.0, 3.5, 0.5,
+                                     2.0, 4.0, 3.0, 1.5, 2.5, 3.5};
+  Simulator eager;
+  Simulator lazy;
+  const std::vector<std::string> want = run_script(false, batch, eager);
+  const std::vector<std::string> got = run_script(true, batch, lazy);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(lazy.scheduled_events(), eager.scheduled_events());
+  EXPECT_EQ(lazy.executed_events(), eager.executed_events());
+  EXPECT_LT(lazy.peak_pending_events(), eager.peak_pending_events());
+}
+
+TEST(SimulatorSeries, CalendarHoldsOneElementOfALongSeries) {
+  Simulator s;
+  std::vector<double> times(10000);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    times[i] = static_cast<double>((i * 7919) % 1000);  // unsorted, repeats
+  }
+  std::size_t fired = 0;
+  std::size_t max_pending = 0;
+  double last = -1.0;
+  bool ordered = true;
+  s.schedule_series(std::make_unique<VectorSeries>(
+      times, [&](std::size_t) {
+        ++fired;
+        max_pending = std::max(max_pending, s.pending_events());
+        ordered = ordered && raw(s.now()) >= last;
+        last = raw(s.now());
+      }));
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_EQ(s.scheduled_events(), 10000u);
+  s.run();
+  EXPECT_EQ(fired, 10000u);
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(s.executed_events(), 10000u);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_LE(max_pending, 1u);
+  EXPECT_EQ(s.peak_pending_events(), 1u);
+}
+
+TEST(SimulatorSeries, SequenceNumbersAreReservedUpFront) {
+  // An event scheduled after the series ties with its last element and
+  // must still fire after it, as it would after eager scheduling.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_series(std::make_unique<VectorSeries>(
+      std::vector<double>{5.0, 5.0},
+      [&](std::size_t i) { order.push_back(static_cast<int>(i)); }));
+  s.schedule(5.0, [&] { order.push_back(9); });
+  EXPECT_EQ(s.scheduled_events(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 9}));
+}
+
+TEST(SimulatorSeries, EmptySeriesSchedulesNothing) {
+  Simulator s;
+  s.schedule_series(std::make_unique<VectorSeries>(
+      std::vector<double>{}, [](std::size_t) {}));
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.scheduled_events(), 0u);
+}
+
+TEST(SimulatorSeries, PastHeadThrows) {
+  Simulator s;
+  s.schedule(5.0, [] {});
+  s.run();
+  EXPECT_THROW(s.schedule_series(std::make_unique<VectorSeries>(
+                   std::vector<double>{6.0, 4.0}, [](std::size_t) {})),
+               std::invalid_argument);
+}
+
+TEST(SimulatorSeries, OutOfOrderElementThrows) {
+  /// Hands out its two elements in the wrong (time) order.
+  class Backwards final : public EventSeries {
+   public:
+    [[nodiscard]] std::uint64_t size() const override { return 2; }
+    bool advance(Time& at, std::uint64_t& rank) override {
+      if (next_ == 2) return false;
+      at = next_ == 0 ? 2.0 : 1.0;
+      rank = next_++;
+      return true;
+    }
+    void fire() override {}
+
+   private:
+    std::uint64_t next_ = 0;
+  };
+  Simulator s;
+  s.schedule_series(std::make_unique<Backwards>());
+  EXPECT_THROW(s.run(), std::logic_error);
+}
+
+TEST(SimulatorSeries, PendingElementsOutliveTheCallerAndFireLater) {
+  Simulator s;
+  int fired = 0;
+  {
+    std::vector<double> times = {1.0, 2.0, 3.0};
+    s.schedule_series(std::make_unique<VectorSeries>(
+        std::move(times), [&fired](std::size_t) { ++fired; }));
+  }
+  s.run_until(1.5);
+  EXPECT_EQ(fired, 1);
+  s.run();
+  EXPECT_EQ(fired, 3);
 }
 
 }  // namespace

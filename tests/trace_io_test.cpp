@@ -51,6 +51,11 @@ TEST(TraceIo, RejectsMalformedRows) {
   EXPECT_THROW(wl::read_trace_csv(garbage), std::runtime_error);
   std::stringstream negative("-1.0,5,3\n");
   EXPECT_THROW(wl::read_trace_csv(negative), std::runtime_error);
+  // Non-finite values: a NaN arrival has no place in the event order.
+  for (const char* row : {"nan,5,3\n", "inf,5,3\n", "1.0,nan,3\n"}) {
+    std::stringstream bad(row);
+    EXPECT_THROW(wl::read_trace_csv(bad), std::runtime_error) << row;
+  }
 }
 
 TEST(TraceIo, SessionColumnsRoundTrip) {
