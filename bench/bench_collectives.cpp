@@ -44,23 +44,21 @@ Time run_collective(Variant variant, Bytes bytes,
       variant == Variant::kHierRing || variant == Variant::kHierIna;
   const bool ina =
       variant == Variant::kFlatIna || variant == Variant::kHierIna;
-  const topo::PathConstraints constraints{hier, true};
-  const coll::Router route =
-      coll::shortest_path_router(graph, constraints);
-  const auto ranked =
-      coll::rank_aggregation_switches(graph, members, constraints, 1);
+  topo::PathOptions paths;
+  paths.constraints = topo::PathConstraints{hier, true};
+  const topo::PathOracle oracle(graph, paths);
+  const auto ranked = coll::rank_aggregation_switches(oracle, members, 1);
 
   coll::AllReducePlan plan;
   if (hier) {
     plan = coll::make_hierarchical_plan(
-        graph, members, bytes,
-        ina ? coll::Scheme::kInaSync : coll::Scheme::kRing, route,
-        ina ? ranked.front() : topo::kInvalidNode);
+        members, bytes, ina ? coll::Scheme::kInaSync : coll::Scheme::kRing,
+        oracle, ina ? ranked.front() : topo::kInvalidNode);
   } else if (ina) {
     plan = coll::make_ina_plan(members, bytes, ranked.front(),
-                               coll::Scheme::kInaSync, route);
+                               coll::Scheme::kInaSync, oracle);
   } else {
-    plan = coll::make_ring_plan(members, bytes, route);
+    plan = coll::make_ring_plan(members, bytes, oracle);
   }
 
   Time latency = 0;

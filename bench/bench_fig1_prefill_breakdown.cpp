@@ -62,10 +62,10 @@ Breakdown run_breakdown(topo::GpuModel gpu_model) {
   net::FlowNetwork network(simulator, graph);
   sw::SwitchRegistry switches(simulator, graph);
   coll::CollectiveEngine engine(network, switches);
-  const coll::Router route = coll::shortest_path_router(graph);
+  const topo::PathOracle oracle(graph);
   const Bytes volume = model.iteration_sync_volume(kKin, model.layers);
   engine.all_reduce(
-      coll::make_ring_plan(graph.gpus(), volume, route),
+      coll::make_ring_plan(graph.gpus(), volume, oracle),
       [&](const coll::AllReduceResult& r) { b.comm = r.latency(); });
   simulator.run();
   return b;

@@ -32,14 +32,14 @@ Fig2Result run_fig2(bool heterogeneous, Bytes bytes) {
   sw::SwitchRegistry switches(simulator, graph);
   coll::CollectiveEngine engine(network, switches);
 
-  const topo::PathConstraints constraints{heterogeneous, true};
-  const coll::Router route = coll::shortest_path_router(graph, constraints);
+  topo::PathOptions paths;
+  paths.constraints = topo::PathConstraints{heterogeneous, true};
+  const topo::PathOracle oracle(graph, paths);
   const std::vector<topo::NodeId> group{graph.find("GN1"),
                                         graph.find("GN3")};
-  const auto ranked =
-      coll::rank_aggregation_switches(graph, group, constraints, 1);
+  const auto ranked = coll::rank_aggregation_switches(oracle, group, 1);
   coll::AllReducePlan plan = coll::make_ina_plan(
-      group, bytes, ranked.front(), coll::Scheme::kInaSync, route);
+      group, bytes, ranked.front(), coll::Scheme::kInaSync, oracle);
 
   Fig2Result result;
   engine.all_reduce(std::move(plan), [&](const coll::AllReduceResult& r) {

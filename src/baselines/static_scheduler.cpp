@@ -6,30 +6,19 @@
 namespace hero::baselines {
 namespace {
 
-constexpr topo::PathConstraints kEthernetOnly{/*allow_nvlink=*/false,
-                                              /*allow_ethernet=*/true};
-
-topo::PathOptions ethernet_only() {
+/// Homogeneous routing: static Ethernet shortest paths. With
+/// `nvlink_direct`, a same-server GPU pair rides its direct NVLink edge
+/// instead: NCCL's rule for collectives (no real stack sends intra-node
+/// traffic out the NIC), and the constraints planner::constraints_for(false)
+/// plans the baselines with. What the baselines lack — by design (SII-C) —
+/// is NVLink *forwarding* (detouring through a peer GPU's NIC),
+/// heterogeneous aggregation placement, and load-aware re-routing.
+topo::PathOptions homogeneous(bool nvlink_direct) {
   topo::PathOptions opts;
-  opts.constraints = kEthernetOnly;
+  opts.constraints = topo::PathConstraints{/*allow_nvlink=*/false,
+                                           /*allow_ethernet=*/true,
+                                           nvlink_direct};
   return opts;
-}
-
-/// NCCL-style baseline routing: same-server GPU pairs always use the direct
-/// NVLink edge (no real stack sends intra-node traffic out the NIC); every
-/// other pair takes the static Ethernet shortest path. What the baselines
-/// lack — by design (SII-C) — is NVLink *forwarding* (detouring through a
-/// peer GPU's NIC), heterogeneous aggregation placement, and load-aware
-/// re-routing.
-coll::Router nccl_style_router(const topo::Graph& g) {
-  const coll::Router ethernet = coll::shortest_path_router(g, kEthernetOnly);
-  return [&g, ethernet](topo::NodeId a, topo::NodeId b) -> topo::Path {
-    if (g.is_gpu(a) && g.is_gpu(b) &&
-        g.node(a).gpu.server == g.node(b).gpu.server) {
-      return coll::direct_nvlink_path(g, a, b);
-    }
-    return ethernet(a, b);
-  };
 }
 
 topo::NodeId find_ps_host(const topo::Graph& g) {
@@ -51,16 +40,12 @@ const char* to_string(BaselineKind kind) {
 }
 
 StaticCommScheduler::StaticCommScheduler(net::FlowNetwork& network,
-                                         BaselineKind kind,
-                                         BaselineOptions opts)
+                                         BaselineKind kind)
     : network_(&network),
       kind_(kind),
-      opts_(opts),
-      routes_(network.graph(), ethernet_only()) {
-  if (kind_ == BaselineKind::kAtp && opts_.fallback == topo::kInvalidNode) {
-    opts_.fallback = find_ps_host(network.graph());
-  }
-}
+      fallback_(kind == BaselineKind::kAtp ? find_ps_host(network.graph())
+                                           : topo::kInvalidNode),
+      routes_(network.graph(), homogeneous(/*nvlink_direct=*/false)) {}
 
 coll::GroupId StaticCommScheduler::register_group(
     std::vector<topo::NodeId> members) {
@@ -71,9 +56,8 @@ coll::GroupId StaticCommScheduler::register_group(
                    [&](topo::NodeId a, topo::NodeId b) {
                      return g.node(a).gpu.server < g.node(b).gpu.server;
                    });
-  const coll::Router route = nccl_style_router(g);
-  const coll::Router ethernet =
-      coll::shortest_path_router(g, kEthernetOnly);
+  // One path store for this group's election and plan, dropped on return.
+  const topo::PathOracle oracle(g, homogeneous(/*nvlink_direct=*/true));
 
   // A group confined to one server has nothing to aggregate in-network:
   // the DS-integrated INA baselines fall back to plain NCCL there, same as
@@ -86,12 +70,12 @@ coll::GroupId StaticCommScheduler::register_group(
   coll::AllReducePlan plan;
   switch (kind_) {
     case BaselineKind::kDistServe:
-      plan = coll::make_ring_plan(std::move(members), 0.0, route);
+      plan = coll::make_ring_plan(std::move(members), 0.0, oracle);
       break;
     case BaselineKind::kSwitchMl:
     case BaselineKind::kAtp: {
       if (single_server) {
-        plan = coll::make_ring_plan(std::move(members), 0.0, route);
+        plan = coll::make_ring_plan(std::move(members), 0.0, oracle);
         break;
       }
       // The DS integration offloads NCCL's *inter-node* stage to the
@@ -103,8 +87,7 @@ coll::GroupId StaticCommScheduler::register_group(
       // aggregator is elected by the worst member's path. The central
       // scheduler "uniformly allocates and recycles aggregator slots"
       // (SIV): spread groups round-robin across the top-ranked switches.
-      auto switches =
-          coll::rank_aggregation_switches(g, members, kEthernetOnly, 2);
+      auto switches = coll::rank_aggregation_switches(oracle, members, 2);
       if (switches.empty()) {
         throw std::runtime_error(
             "StaticCommScheduler: no aggregation switch reachable");
@@ -117,14 +100,13 @@ coll::GroupId StaticCommScheduler::register_group(
                     switches.end());
       }
       const bool sync = kind_ == BaselineKind::kSwitchMl;
-      if (!sync && opts_.fallback == topo::kInvalidNode) {
+      if (!sync && fallback_ == topo::kInvalidNode) {
         throw std::runtime_error("DS-ATP: no PS fallback host in topology");
       }
       plan = coll::make_hierarchical_plan(
-          g, std::move(members),
-          0.0, sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync,
-          ethernet, switches.front(),
-          sync ? topo::kInvalidNode : opts_.fallback, opts_.slots);
+          std::move(members), 0.0,
+          sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync, oracle,
+          switches.front(), fallback_);
       break;
     }
   }

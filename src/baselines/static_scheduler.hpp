@@ -25,17 +25,9 @@ enum class BaselineKind : std::uint8_t { kDistServe, kSwitchMl, kAtp };
 
 [[nodiscard]] const char* to_string(BaselineKind kind);
 
-struct BaselineOptions {
-  /// PS host for DS-ATP's fallback; auto-discovered (first kServer node)
-  /// when left invalid.
-  topo::NodeId fallback = topo::kInvalidNode;
-  std::uint32_t slots = 8;
-};
-
 class StaticCommScheduler final : public coll::CommScheduler {
  public:
-  StaticCommScheduler(net::FlowNetwork& network, BaselineKind kind,
-                      BaselineOptions opts = {});
+  StaticCommScheduler(net::FlowNetwork& network, BaselineKind kind);
 
   coll::GroupId register_group(std::vector<topo::NodeId> members) override;
   coll::AllReducePlan all_reduce_plan(coll::GroupId group,
@@ -57,7 +49,8 @@ class StaticCommScheduler final : public coll::CommScheduler {
  private:
   net::FlowNetwork* network_;
   BaselineKind kind_;
-  BaselineOptions opts_;
+  /// DS-ATP's end-host PS fallback: the topology's first plain server.
+  topo::NodeId fallback_;
   std::vector<coll::AllReducePlan> plans_;
   /// Ethernet-only unicast routes: one Dijkstra per source.
   topo::PathOracle routes_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -399,8 +400,24 @@ void CollectiveEngine::finish(Op& op) {
 
 // --- plan builders -------------------------------------------------------
 
+namespace {
+
+/// oracle.path(a, b), or std::runtime_error naming both nodes.
+topo::Path route(const topo::PathOracle& oracle, topo::NodeId a,
+                 topo::NodeId b) {
+  std::optional<topo::Path> p = oracle.path(a, b);
+  if (!p) {
+    const topo::Graph& g = oracle.graph();
+    throw std::runtime_error("plan builder: unreachable pair " +
+                             g.node(a).name + " -> " + g.node(b).name);
+  }
+  return *std::move(p);
+}
+
+}  // namespace
+
 AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,
-                             const Router& route) {
+                             const topo::PathOracle& oracle) {
   AllReducePlan plan;
   plan.bytes = bytes;
   plan.scheme = Scheme::kRing;
@@ -409,7 +426,7 @@ AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,
   if (plan.wide_members.size() > 1) {
     for (std::size_t i = 0; i < plan.wide_members.size(); ++i) {
       plan.ring_paths.push_back(
-          route(plan.wide_members[i],
+          route(oracle, plan.wide_members[i],
                 plan.wide_members[(i + 1) % plan.wide_members.size()]));
     }
   }
@@ -418,8 +435,8 @@ AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,
 
 AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
                             topo::NodeId agg_switch, Scheme scheme,
-                            const Router& route, topo::NodeId fallback,
-                            std::uint32_t slots) {
+                            const topo::PathOracle& oracle,
+                            topo::NodeId fallback, std::uint32_t slots) {
   if (scheme == Scheme::kRing) {
     throw std::invalid_argument("make_ina_plan: scheme must be INA");
   }
@@ -432,27 +449,27 @@ AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
   plan.up_paths.reserve(plan.wide_members.size());
   plan.down_paths.reserve(plan.wide_members.size());
   for (topo::NodeId m : plan.wide_members) {
-    plan.up_paths.push_back(route(m, agg_switch));
-    plan.down_paths.push_back(route(agg_switch, m));
+    plan.up_paths.push_back(route(oracle, m, agg_switch));
+    plan.down_paths.push_back(route(oracle, agg_switch, m));
   }
   if (fallback != topo::kInvalidNode) {
     plan.fallback_node = fallback;
     for (topo::NodeId m : plan.wide_members) {
-      plan.fallback_up.push_back(route(m, fallback));
-      plan.fallback_down.push_back(route(fallback, m));
+      plan.fallback_up.push_back(route(oracle, m, fallback));
+      plan.fallback_down.push_back(route(oracle, fallback, m));
     }
   }
   return plan;
 }
 
-AllReducePlan make_hierarchical_plan(const topo::Graph& g,
-                                     std::vector<topo::NodeId> members,
+AllReducePlan make_hierarchical_plan(std::vector<topo::NodeId> members,
                                      Bytes bytes, Scheme wide_scheme,
-                                     const Router& route,
+                                     const topo::PathOracle& oracle,
                                      topo::NodeId agg_switch,
                                      topo::NodeId fallback,
                                      std::uint32_t slots) {
   // Group members by NVLink domain (server id).
+  const topo::Graph& g = oracle.graph();
   std::vector<std::vector<topo::NodeId>> groups;
   std::unordered_map<std::int32_t, std::size_t> by_server;
   for (topo::NodeId m : members) {
@@ -467,7 +484,7 @@ AllReducePlan make_hierarchical_plan(const topo::Graph& g,
     std::vector<topo::NodeId> leaders;
     leaders.reserve(groups.size());
     for (const auto& group : groups) leaders.push_back(group.front());
-    plan = make_ring_plan(leaders, bytes, route);
+    plan = make_ring_plan(leaders, bytes, oracle);
   } else {
     // Sharded INA: every member streams its 1/g shard via its own NIC.
     std::vector<topo::NodeId> all_members;
@@ -478,7 +495,7 @@ AllReducePlan make_hierarchical_plan(const topo::Graph& g,
         scale.push_back(1.0 / static_cast<double>(group.size()));
       }
     }
-    plan = make_ina_plan(all_members, bytes, agg_switch, wide_scheme, route,
+    plan = make_ina_plan(all_members, bytes, agg_switch, wide_scheme, oracle,
                          fallback, slots);
     plan.wide_scale = std::move(scale);
   }
@@ -494,20 +511,6 @@ topo::Path direct_nvlink_path(const topo::Graph& g, topo::NodeId a,
     }
   }
   throw std::invalid_argument("direct_nvlink_path: no NVLink edge");
-}
-
-Router shortest_path_router(const topo::Graph& g,
-                            topo::PathConstraints constraints) {
-  return [&g, constraints](topo::NodeId a, topo::NodeId b) -> topo::Path {
-    topo::PathOptions opts;
-    opts.constraints = constraints;
-    auto p = topo::shortest_path(g, a, b, opts);
-    if (!p) {
-      throw std::runtime_error("shortest_path_router: unreachable pair " +
-                               g.node(a).name + " -> " + g.node(b).name);
-    }
-    return *std::move(p);
-  };
 }
 
 std::vector<topo::NodeId> rank_aggregation_switches(
@@ -545,17 +548,6 @@ std::vector<topo::NodeId> rank_aggregation_switches(
     out.push_back(s.sw);
   }
   return out;
-}
-
-std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    topo::PathConstraints constraints, std::size_t count) {
-  topo::PathOptions opts;
-  opts.constraints = constraints;
-  // One Dijkstra per distinct member instead of one per (member, switch):
-  // the oracle memoizes per-source solves within this election.
-  const topo::PathOracle oracle(g, opts);
-  return rank_aggregation_switches(oracle, members, count);
 }
 
 }  // namespace hero::coll

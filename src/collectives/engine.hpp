@@ -37,10 +37,6 @@ enum class Scheme : std::uint8_t { kRing, kInaSync, kInaAsync };
 
 [[nodiscard]] const char* to_string(Scheme scheme);
 
-/// Path lookup used by plan builders; implementations: static shortest
-/// paths, online scheduler dynamic choice, Ethernet-only baselines.
-using Router = std::function<topo::Path(topo::NodeId, topo::NodeId)>;
-
 struct AllReducePlan {
   Bytes bytes = 0;  ///< per-GPU payload (the all-reduce tensor size)
 
@@ -133,16 +129,21 @@ class CollectiveEngine {
 };
 
 // --- plan builders -------------------------------------------------------
+//
+// Every builder reads its paths from `oracle` (Alg. 2's path store) and
+// throws std::runtime_error naming both nodes when a pair is unreachable
+// under the oracle's constraints.
 
-/// Flat ring plan over `members` in the given order; paths via `route`.
-[[nodiscard]] AllReducePlan make_ring_plan(
-    std::vector<topo::NodeId> members, Bytes bytes, const Router& route);
+/// Flat ring plan over `members` in the given order.
+[[nodiscard]] AllReducePlan make_ring_plan(std::vector<topo::NodeId> members,
+                                           Bytes bytes,
+                                           const topo::PathOracle& oracle);
 
 /// Flat INA plan aggregating at `agg_switch`; async plans may carry a
 /// fallback host.
 [[nodiscard]] AllReducePlan make_ina_plan(
     std::vector<topo::NodeId> members, Bytes bytes, topo::NodeId agg_switch,
-    Scheme scheme, const Router& route,
+    Scheme scheme, const topo::PathOracle& oracle,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
 
 /// Hierarchical plan: members grouped by server. For ring schemes the
@@ -151,8 +152,8 @@ class CollectiveEngine {
 /// GPU with a 1/g shard which it streams to `agg_switch` through its own
 /// NIC (SwitchML's per-worker streams), followed by a local all-gather.
 [[nodiscard]] AllReducePlan make_hierarchical_plan(
-    const topo::Graph& g, std::vector<topo::NodeId> members, Bytes bytes,
-    Scheme wide_scheme, const Router& route,
+    std::vector<topo::NodeId> members, Bytes bytes, Scheme wide_scheme,
+    const topo::PathOracle& oracle,
     topo::NodeId agg_switch = topo::kInvalidNode,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
 
@@ -161,23 +162,15 @@ class CollectiveEngine {
 [[nodiscard]] topo::Path direct_nvlink_path(const topo::Graph& g,
                                             topo::NodeId a, topo::NodeId b);
 
-/// Router resolving pairs through static shortest paths under the given
-/// constraints (throws std::runtime_error on unreachable pairs).
-[[nodiscard]] Router shortest_path_router(
-    const topo::Graph& g, topo::PathConstraints constraints = {});
-
 /// Aggregation-switch election: switches with aggregator slots, ranked by
-/// total shortest-path latency (1 MiB reference) to `members`; at most
-/// `count` returned. Used by the offline planner (Alg. 2 step 2), the
-/// online policy builder, and the INA baselines. The oracle overload is the
-/// fast path: a caller-owned topo::PathOracle amortizes the per-member
-/// Dijkstra across every election it runs (the planner scores tens of
-/// thousands of candidate groups against the same graph).
+/// the worst, then the total, member latency (1 MiB reference) over
+/// `oracle`'s paths; at most `count` returned. Used by the offline planner
+/// (Alg. 2 step 2), the online policy builder, and the INA baselines. The
+/// caller owns the oracle, so one election's per-member Dijkstra serves
+/// every later election and plan over the same graph (the planner scores
+/// tens of thousands of candidate groups against one oracle).
 [[nodiscard]] std::vector<topo::NodeId> rank_aggregation_switches(
     const topo::PathOracle& oracle, const std::vector<topo::NodeId>& members,
     std::size_t count);
-[[nodiscard]] std::vector<topo::NodeId> rank_aggregation_switches(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    topo::PathConstraints constraints, std::size_t count);
 
 }  // namespace hero::coll

@@ -81,10 +81,8 @@ std::unique_ptr<coll::CommScheduler> make_scheduler(
   *hero = nullptr;
   switch (kind) {
     case SystemKind::kHeroServe: {
-      online::PolicyBuildOptions build;
-      build.heterogeneous = true;
-      auto owned = std::make_unique<online::HeroCommScheduler>(
-          network, cfg.online, build);
+      auto owned =
+          std::make_unique<online::HeroCommScheduler>(network, cfg.online);
       *hero = owned.get();
       return owned;
     }

@@ -20,18 +20,13 @@ constexpr std::uint32_t kMaxSyncBackoff = 4;
 /// INA policies aggregate synchronously on the switch (SwitchML-style).
 constexpr coll::Scheme kInaScheme = coll::Scheme::kInaSync;
 
-topo::PathOptions hetero_opts(bool heterogeneous) {
-  topo::PathOptions opts;
-  opts.constraints.allow_nvlink = heterogeneous;
-  return opts;
-}
+/// Aggregation switches each group is offered as INA policies.
+constexpr std::size_t kSwitchCandidates = 2;
 
-/// Wide-phase participants of a would-be plan: group leaders when
-/// hierarchical, all members otherwise.
-std::vector<topo::NodeId> wide_participants(
-    const topo::Graph& g, const std::vector<topo::NodeId>& members,
-    bool hierarchical) {
-  if (!hierarchical) return members;
+/// Wide-phase participants of a hierarchical plan: the first member on
+/// each server.
+std::vector<topo::NodeId> server_leaders(
+    const topo::Graph& g, const std::vector<topo::NodeId>& members) {
   std::vector<topo::NodeId> leaders;
   std::vector<std::int32_t> seen;
   for (topo::NodeId m : members) {
@@ -47,15 +42,14 @@ std::vector<topo::NodeId> wide_participants(
 }  // namespace
 
 std::vector<Policy> build_policies(const topo::Graph& graph,
-                                   const std::vector<topo::NodeId>& members,
-                                   const PolicyBuildOptions& opts) {
+                                   const std::vector<topo::NodeId>& members) {
   if (members.empty()) {
     throw std::invalid_argument("build_policies: empty group");
   }
-  const coll::Router route = coll::shortest_path_router(
-      graph, hetero_opts(opts.heterogeneous).constraints);
-  const std::vector<topo::NodeId> wide =
-      wide_participants(graph, members, opts.heterogeneous);
+  // One path store (NVLink allowed, 1 MiB reference) answers the switch
+  // election and every plan path, and is dropped on return: kept for the
+  // run, its solved sources would only cost memory.
+  const topo::PathOracle oracle(graph);
 
   std::vector<Policy> policies;
   auto add = [&](std::string name, coll::AllReducePlan plan) {
@@ -66,28 +60,14 @@ std::vector<Policy> build_policies(const topo::Graph& graph,
     policies.push_back(std::move(p));
   };
 
-  if (opts.include_ina) {
-    const auto switches = coll::rank_aggregation_switches(
-        graph, wide, hetero_opts(opts.heterogeneous).constraints,
-        opts.switch_candidates);
-    for (topo::NodeId sw : switches) {
-      coll::AllReducePlan plan =
-          opts.heterogeneous
-              ? coll::make_hierarchical_plan(graph, members, 0.0,
-                                             kInaScheme, route, sw,
-                                             opts.fallback, opts.slots)
-              : coll::make_ina_plan(members, 0.0, sw, kInaScheme, route,
-                                    opts.fallback, opts.slots);
-      add(strfmt("{}ina@{}", opts.heterogeneous ? "hier-" : "",
-                 graph.node(sw).name),
-          std::move(plan));
-    }
+  for (topo::NodeId sw : coll::rank_aggregation_switches(
+           oracle, server_leaders(graph, members), kSwitchCandidates)) {
+    add(strfmt("hier-ina@{}", graph.node(sw).name),
+        coll::make_hierarchical_plan(members, 0.0, kInaScheme, oracle, sw));
   }
   // Ring is always a candidate: the fallback when every INA switch starves.
-  add(opts.heterogeneous ? "hier-ring" : "ring",
-      opts.heterogeneous ? coll::make_hierarchical_plan(
-                               graph, members, 0.0, coll::Scheme::kRing, route)
-                         : coll::make_ring_plan(members, 0.0, route));
+  add("hier-ring",
+      coll::make_hierarchical_plan(members, 0.0, coll::Scheme::kRing, oracle));
   return policies;
 }
 
@@ -296,17 +276,14 @@ void OnlineScheduler::set_sync_disruption(Time extra_delay, bool drop_sync) {
 }
 
 HeroCommScheduler::HeroCommScheduler(net::FlowNetwork& network,
-                                     OnlineConfig config,
-                                     PolicyBuildOptions build)
+                                     OnlineConfig config)
     : network_(&network),
-      build_(build),
       online_(network, config),
-      routes_(network.graph(), hetero_opts(build.heterogeneous)) {}
+      routes_(network.graph()) {}
 
 GroupId HeroCommScheduler::register_group(
     std::vector<topo::NodeId> members) {
-  std::vector<Policy> policies =
-      build_policies(network_->graph(), members, build_);
+  std::vector<Policy> policies = build_policies(network_->graph(), members);
   return online_.register_group(
       group_prefix_ + strfmt("group{}", online_.group_count()),
       std::move(policies));

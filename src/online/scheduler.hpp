@@ -27,20 +27,11 @@ using GroupId = coll::GroupId;
 /// any healthy policy.
 inline constexpr double kInaUnavailablePenalty = 1.0;
 
-/// Options controlling what candidate policies a group's table is populated
-/// with.
-struct PolicyBuildOptions {
-  bool heterogeneous = true;  ///< NVLink paths + hierarchical plans
-  bool include_ina = true;
-  std::size_t switch_candidates = 2;  ///< INA switches considered per group
-  topo::NodeId fallback = topo::kInvalidNode;  ///< PS host for async INA
-  std::uint32_t slots = 8;
-};
-
-/// Build the candidate policy set for one GPU group on `graph`.
+/// Build the candidate policy set for one GPU group on `graph`: a
+/// hierarchical (NVLink-local + wide) INA plan at each of the two
+/// best-ranked aggregation switches, plus the hierarchical ring.
 [[nodiscard]] std::vector<Policy> build_policies(
-    const topo::Graph& graph, const std::vector<topo::NodeId>& members,
-    const PolicyBuildOptions& opts);
+    const topo::Graph& graph, const std::vector<topo::NodeId>& members);
 
 class OnlineScheduler {
  public:
@@ -122,8 +113,8 @@ class OnlineScheduler {
 /// the online scheduler; load-aware alternate routing for unicast.
 class HeroCommScheduler final : public coll::CommScheduler {
  public:
-  HeroCommScheduler(net::FlowNetwork& network, OnlineConfig config = {},
-                    PolicyBuildOptions build = {});
+  explicit HeroCommScheduler(net::FlowNetwork& network,
+                             OnlineConfig config = {});
 
   GroupId register_group(std::vector<topo::NodeId> members) override;
   coll::AllReducePlan all_reduce_plan(GroupId group, Bytes bytes) override;
@@ -146,7 +137,6 @@ class HeroCommScheduler final : public coll::CommScheduler {
 
  private:
   net::FlowNetwork* network_;
-  PolicyBuildOptions build_;
   std::string group_prefix_;
   OnlineScheduler online_;
   /// unicast_path()'s edge-diverse alternates per (src, dst): the search

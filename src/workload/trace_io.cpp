@@ -10,6 +10,15 @@
 #include "common/format.hpp"
 
 namespace hero::wl {
+namespace {
+
+constexpr const char* kFieldNames[5] = {"arrival_s", "input_tokens",
+                                        "output_tokens", "session_id",
+                                        "prefix_tokens"};
+/// Exclusive upper bound on token counts and session ids (2^32).
+constexpr double kCountLimit = 4294967296.0;
+
+}  // namespace
 
 Trace read_trace_csv(std::istream& in) {
   Trace trace;
@@ -53,6 +62,14 @@ Trace read_trace_csv(std::istream& in) {
       if (fields[f] < 0) {
         throw std::runtime_error(
             strfmt("trace csv line {}: negative value", line_no));
+      }
+      // Every field after the arrival time is a token count or a session
+      // id: a whole number that the integer casts below hold exactly.
+      if (f > 0 && (fields[f] != std::floor(fields[f]) ||
+                    fields[f] >= kCountLimit)) {
+        throw std::runtime_error(
+            strfmt("trace csv line {}: {} must be an integer below 2^32",
+                   line_no, kFieldNames[f]));
       }
     }
     Request r;

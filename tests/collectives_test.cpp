@@ -2,7 +2,9 @@
 // ring, INA (sync/async with fallback), and hierarchical all-reduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "collectives/engine.hpp"
 #include "netsim/flownet.hpp"
@@ -16,12 +18,20 @@ using topo::LinkKind;
 using topo::NodeId;
 using topo::NodeKind;
 
+topo::PathOptions ethernet_only() {
+  topo::PathOptions opts;
+  opts.constraints = topo::PathConstraints{false, true};
+  return opts;
+}
+
 struct Fixture {
   topo::Graph graph;
   sim::Simulator simulator;
   std::unique_ptr<net::FlowNetwork> network;
   std::unique_ptr<sw::SwitchRegistry> switches;
   std::unique_ptr<CollectiveEngine> engine;
+  const topo::PathOracle nvlink_paths{graph};
+  const topo::PathOracle ethernet_paths{graph, ethernet_only()};
 
   explicit Fixture(topo::Graph g, EngineConfig cfg = {})
       : graph(std::move(g)) {
@@ -30,8 +40,8 @@ struct Fixture {
     engine = std::make_unique<CollectiveEngine>(*network, *switches, cfg);
   }
 
-  Router router(bool nvlink = true) const {
-    return shortest_path_router(graph, topo::PathConstraints{nvlink, true});
+  const topo::PathOracle& oracle(bool nvlink = true) const {
+    return nvlink ? nvlink_paths : ethernet_paths;
   }
 };
 
@@ -68,11 +78,11 @@ TEST(CostModel, RingDegenerateCases) {
 
 TEST(CostModel, RingOnPathsUsesWorstNeighbor) {
   const topo::Graph g = star_graph(3);
-  const Router route = shortest_path_router(g);
+  const topo::PathOracle oracle(g);
   std::vector<topo::Path> ring;
   const auto gpus = g.gpus();
   for (std::size_t i = 0; i < gpus.size(); ++i) {
-    ring.push_back(route(gpus[i], gpus[(i + 1) % gpus.size()]));
+    ring.push_back(*oracle.path(gpus[i], gpus[(i + 1) % gpus.size()]));
   }
   // Each neighbor path is 2 hops; chunk = V/3; steps = 4.
   const Bytes v = 3.0 * units::MB;
@@ -82,12 +92,12 @@ TEST(CostModel, RingOnPathsUsesWorstNeighbor) {
 
 TEST(CostModel, InaOnPathsEq8) {
   const topo::Graph g = star_graph(3);
-  const Router route = shortest_path_router(g);
+  const topo::PathOracle oracle(g);
   const NodeId sw = g.find("sw");
   std::vector<topo::Path> up, down;
   for (NodeId gpu : g.gpus()) {
-    up.push_back(route(gpu, sw));
-    down.push_back(route(sw, gpu));
+    up.push_back(*oracle.path(gpu, sw));
+    down.push_back(*oracle.path(sw, gpu));
   }
   CostConfig cfg;
   const Time t =
@@ -113,7 +123,7 @@ TEST_P(RingSizeTest, EngineMatchesClosedForm) {
   const int p = GetParam();
   Fixture f(star_graph(p));
   const Bytes volume = 4.0 * units::MB;
-  AllReducePlan plan = make_ring_plan(f.graph.gpus(), volume, f.router());
+  AllReducePlan plan = make_ring_plan(f.graph.gpus(), volume, f.oracle());
 
   Time done = -1;
   f.engine->all_reduce(std::move(plan), [&](const AllReduceResult& r) {
@@ -136,7 +146,7 @@ TEST(Engine, InaSyncPhases) {
   Fixture f(star_graph(3));
   AllReducePlan plan = make_ina_plan(f.graph.gpus(), 1.0 * units::MB,
                                      f.graph.find("sw"), Scheme::kInaSync,
-                                     f.router());
+                                     f.oracle());
   AllReduceResult result;
   bool done = false;
   f.engine->all_reduce(std::move(plan), [&](const AllReduceResult& r) {
@@ -160,7 +170,7 @@ TEST(Engine, InaReleasesSlotsAfterOp) {
   Fixture f(star_graph(3));
   AllReducePlan plan = make_ina_plan(f.graph.gpus(), 1.0 * units::MB,
                                      f.graph.find("sw"), Scheme::kInaSync,
-                                     f.router());
+                                     f.oracle());
   f.engine->all_reduce(std::move(plan), nullptr);
   f.simulator.run();
   EXPECT_EQ(f.switches->agent(f.graph.find("sw")).slots_in_use(), 0u);
@@ -174,12 +184,12 @@ TEST(Engine, InaSyncQueuesUnderSlotPressure) {
   Time done1 = -1, done2 = -1;
   f.engine->all_reduce(
       make_ina_plan(g1, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaSync, f.router(), topo::kInvalidNode,
+                    Scheme::kInaSync, f.oracle(), topo::kInvalidNode,
                     /*slots=*/32),
       [&](const AllReduceResult& r) { done1 = r.end; });
   f.engine->all_reduce(
       make_ina_plan(g2, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaSync, f.router(), topo::kInvalidNode,
+                    Scheme::kInaSync, f.oracle(), topo::kInvalidNode,
                     /*slots=*/32),
       [&](const AllReduceResult& r) { done2 = r.end; });
   f.simulator.run();
@@ -197,11 +207,11 @@ TEST(Engine, InaAsyncFallsBackToPs) {
   AllReduceResult r1, r2;
   f.engine->all_reduce(
       make_ina_plan(g1, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.router(), ps, /*slots=*/32),
+                    Scheme::kInaAsync, f.oracle(), ps, /*slots=*/32),
       [&](const AllReduceResult& r) { r1 = r; });
   f.engine->all_reduce(
       make_ina_plan(g2, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.router(), ps, /*slots=*/32),
+                    Scheme::kInaAsync, f.oracle(), ps, /*slots=*/32),
       [&](const AllReduceResult& r) { r2 = r; });
   f.simulator.run();
   EXPECT_FALSE(r1.used_fallback);
@@ -217,13 +227,13 @@ TEST(Engine, InaAsyncWithoutFallbackThrowsOnRejection) {
   const auto gpus = f.graph.gpus();
   f.engine->all_reduce(
       make_ina_plan({gpus[0], gpus[1]}, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.router(), topo::kInvalidNode,
+                    Scheme::kInaAsync, f.oracle(), topo::kInvalidNode,
                     /*slots=*/32),
       nullptr);
   EXPECT_THROW(
       f.engine->all_reduce(
           make_ina_plan({gpus[2], gpus[3]}, 1.0 * units::MB,
-                        f.graph.find("sw"), Scheme::kInaAsync, f.router(),
+                        f.graph.find("sw"), Scheme::kInaAsync, f.oracle(),
                         topo::kInvalidNode, /*slots=*/32),
           nullptr),
       std::invalid_argument);
@@ -237,10 +247,9 @@ TEST(Engine, HierarchicalGroupsByServer) {
   std::vector<NodeId> members;
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
-  const Router route = shortest_path_router(g);
+  const topo::PathOracle oracle(g);
   const AllReducePlan plan =
-      make_hierarchical_plan(g, members, 1.0 * units::MB, Scheme::kRing,
-                             route);
+      make_hierarchical_plan(members, 1.0 * units::MB, Scheme::kRing, oracle);
   ASSERT_EQ(plan.local_groups.size(), 2u);
   EXPECT_EQ(plan.local_groups[0].size(), 4u);
   EXPECT_EQ(plan.wide_members.size(), 2u);
@@ -262,15 +271,15 @@ TEST(Engine, HierarchicalFasterThanFlatOnTestbed) {
   {
     Fixture f(g);
     f.engine->all_reduce(
-        make_hierarchical_plan(f.graph, members, 16.0 * units::MB,
-                               Scheme::kRing, f.router()),
+        make_hierarchical_plan(members, 16.0 * units::MB, Scheme::kRing,
+                               f.oracle()),
         [&](const AllReduceResult& r) { hier_done = r.latency(); });
     f.simulator.run();
   }
   {
     Fixture f(g);
     f.engine->all_reduce(
-        make_ring_plan(members, 16.0 * units::MB, f.router(false)),
+        make_ring_plan(members, 16.0 * units::MB, f.oracle(false)),
         [&](const AllReduceResult& r) { flat_done = r.latency(); });
     f.simulator.run();
   }
@@ -279,9 +288,9 @@ TEST(Engine, HierarchicalFasterThanFlatOnTestbed) {
   EXPECT_LT(hier_done, flat_done);
 }
 
-TEST(Engine, RankAggregationOracleOverloadMatchesGraphOverload) {
-  // The caller-owned-oracle fast path must elect identical switches in
-  // identical order to the per-call graph overload.
+TEST(Engine, RankAggregationMatchesBruteForceElection) {
+  // Reference election from one-shot per-pair searches: switches with
+  // slots, ranked by the worst member's 1 MiB latency, then by the sum.
   const topo::Graph g = topo::make_testbed();
   const auto by_server = g.gpus_by_server();
   for (const bool hetero : {true, false}) {
@@ -295,8 +304,37 @@ TEST(Engine, RankAggregationOracleOverloadMatchesGraphOverload) {
         members.insert(members.end(), by_server[server + 1].begin(),
                        by_server[server + 1].end());
       }
-      EXPECT_EQ(rank_aggregation_switches(oracle, members, 2),
-                rank_aggregation_switches(g, members, opts.constraints, 2));
+      struct Ranked {
+        Time worst;
+        Time total;
+        NodeId sw;
+      };
+      std::vector<Ranked> reference;
+      for (NodeId sw : g.switches()) {
+        if (g.node(sw).agg_slots <= 0) continue;
+        Ranked r{0.0, 0.0, sw};
+        bool reachable = true;
+        for (NodeId m : members) {
+          const auto p = topo::shortest_path(g, m, sw, opts);
+          if (!p) {
+            reachable = false;
+            break;
+          }
+          const Time lat = p->latency(g, 1.0 * units::MiB);
+          r.worst = std::max(r.worst, lat);
+          r.total += lat;
+        }
+        if (reachable) reference.push_back(r);
+      }
+      std::stable_sort(reference.begin(), reference.end(),
+                       [](const Ranked& a, const Ranked& b) {
+                         return a.worst != b.worst ? a.worst < b.worst
+                                                   : a.total < b.total;
+                       });
+      ASSERT_GE(reference.size(), 2u);
+      const std::vector<NodeId> expected{reference[0].sw, reference[1].sw};
+      EXPECT_EQ(rank_aggregation_switches(oracle, members, 2), expected)
+          << "hetero=" << hetero << " server=" << server;
     }
   }
 }
@@ -309,11 +347,10 @@ TEST(Engine, HierarchicalInaIsSharded) {
   std::vector<NodeId> members;
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
-  const Router route = shortest_path_router(g);
-  const auto ranked =
-      rank_aggregation_switches(g, members, topo::PathConstraints{}, 1);
+  const topo::PathOracle oracle(g);
+  const auto ranked = rank_aggregation_switches(oracle, members, 1);
   const AllReducePlan plan = make_hierarchical_plan(
-      g, members, 8.0 * units::MB, Scheme::kInaSync, route, ranked.front());
+      members, 8.0 * units::MB, Scheme::kInaSync, oracle, ranked.front());
   ASSERT_EQ(plan.wide_members.size(), 8u);
   ASSERT_EQ(plan.wide_scale.size(), 8u);
   for (double scale : plan.wide_scale) EXPECT_DOUBLE_EQ(scale, 0.25);
@@ -330,12 +367,11 @@ TEST(Engine, ShardedInaFasterThanLeaderSizedTraffic) {
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
 
   Fixture f(g);
-  const auto ranked = rank_aggregation_switches(
-      f.graph, members, topo::PathConstraints{}, 1);
+  const auto ranked = rank_aggregation_switches(f.oracle(), members, 1);
   Time sharded = -1;
   f.engine->all_reduce(
-      make_hierarchical_plan(f.graph, members, 32.0 * units::MB,
-                             Scheme::kInaSync, f.router(), ranked.front()),
+      make_hierarchical_plan(members, 32.0 * units::MB, Scheme::kInaSync,
+                             f.oracle(), ranked.front()),
       [&](const AllReduceResult& r) { sharded = r.latency(); });
   f.simulator.run();
 
@@ -343,7 +379,7 @@ TEST(Engine, ShardedInaFasterThanLeaderSizedTraffic) {
   Time flat = -1;
   f2.engine->all_reduce(
       make_ina_plan(members, 32.0 * units::MB, ranked.front(),
-                    Scheme::kInaSync, f2.router()),
+                    Scheme::kInaSync, f2.oracle()),
       [&](const AllReduceResult& r) { flat = r.latency(); });
   f2.simulator.run();
 
@@ -356,7 +392,7 @@ TEST(Engine, SingleMemberCompletesImmediately) {
   Fixture f(star_graph(2));
   bool done = false;
   f.engine->all_reduce(
-      make_ring_plan({f.graph.gpus()[0]}, 1.0 * units::MB, f.router()),
+      make_ring_plan({f.graph.gpus()[0]}, 1.0 * units::MB, f.oracle()),
       [&](const AllReduceResult&) { done = true; });
   f.simulator.run();
   EXPECT_TRUE(done);
@@ -366,7 +402,7 @@ TEST(Engine, OpsCompletedCounter) {
   Fixture f(star_graph(3));
   for (int i = 0; i < 3; ++i) {
     f.engine->all_reduce(
-        make_ring_plan(f.graph.gpus(), 1.0 * units::MB, f.router()),
+        make_ring_plan(f.graph.gpus(), 1.0 * units::MB, f.oracle()),
         nullptr);
   }
   f.simulator.run();
@@ -377,8 +413,8 @@ TEST(Engine, OpsCompletedCounter) {
 
 TEST(PlanBuilders, RingPathsConnectSuccessiveMembers) {
   const topo::Graph g = star_graph(4);
-  const AllReducePlan plan =
-      make_ring_plan(g.gpus(), 1.0, shortest_path_router(g));
+  const topo::PathOracle oracle(g);
+  const AllReducePlan plan = make_ring_plan(g.gpus(), 1.0, oracle);
   ASSERT_EQ(plan.ring_paths.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(plan.ring_paths[i].src(), plan.wide_members[i]);
@@ -386,11 +422,42 @@ TEST(PlanBuilders, RingPathsConnectSuccessiveMembers) {
   }
 }
 
+TEST(PlanBuilders, UnreachablePairThrowsNamingBothNodes) {
+  // Two star islands with no link between them.
+  topo::Graph g;
+  const NodeId sw_a = g.add_switch("sw_a", NodeKind::kAccessSwitch, 64);
+  const NodeId sw_b = g.add_switch("sw_b", NodeKind::kAccessSwitch, 64);
+  const NodeId ga = g.add_gpu("ga", GpuModel::kA100_40, 40 * units::GB, 0);
+  const NodeId gb = g.add_gpu("gb", GpuModel::kA100_40, 40 * units::GB, 1);
+  g.add_edge(ga, sw_a, LinkKind::kEthernet, 100 * units::Gbps, 0.0);
+  g.add_edge(gb, sw_b, LinkKind::kEthernet, 100 * units::Gbps, 0.0);
+  const topo::PathOracle oracle(g);
+  auto expect_unreachable = [](auto build, const std::string& from,
+                               const std::string& to) {
+    try {
+      (void)build();
+      ADD_FAILURE() << "no throw for " << from << " -> " << to;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(from), std::string::npos) << what;
+      EXPECT_NE(what.find(to), std::string::npos) << what;
+    }
+  };
+  expect_unreachable([&] { return make_ring_plan({ga, gb}, 1.0, oracle); },
+                     "ga", "gb");
+  expect_unreachable(
+      [&] {
+        return make_ina_plan({ga, gb}, 1.0, sw_a, Scheme::kInaSync, oracle);
+      },
+      "gb", "sw_a");
+}
+
 TEST(PlanBuilders, InaPlanValidation) {
   const topo::Graph g = star_graph(2);
-  EXPECT_THROW(make_ina_plan(g.gpus(), 1.0, g.find("sw"), Scheme::kRing,
-                             shortest_path_router(g)),
-               std::invalid_argument);
+  const topo::PathOracle oracle(g);
+  EXPECT_THROW(
+      make_ina_plan(g.gpus(), 1.0, g.find("sw"), Scheme::kRing, oracle),
+      std::invalid_argument);
 }
 
 TEST(PlanBuilders, DirectNvlinkPathRequiresEdge) {
@@ -404,8 +471,9 @@ TEST(PlanBuilders, DirectNvlinkPathRequiresEdge) {
 TEST(RankSwitches, PrefersNearestWithSlots) {
   const topo::Graph g = topo::make_fig2_example();
   // For {GN2, GN3} (both uplink S2), S2 must rank first.
-  const auto ranked = rank_aggregation_switches(
-      g, {g.find("GN2"), g.find("GN3")}, topo::PathConstraints{}, 3);
+  const topo::PathOracle oracle(g);
+  const auto ranked =
+      rank_aggregation_switches(oracle, {g.find("GN2"), g.find("GN3")}, 3);
   ASSERT_FALSE(ranked.empty());
   EXPECT_EQ(ranked[0], g.find("S2"));
 }
@@ -417,8 +485,8 @@ TEST(RankSwitches, SkipsSwitchesWithoutSlots) {
   const NodeId s1 = g.add_switch("s1", NodeKind::kAccessSwitch, 8);
   g.add_edge(gpu, s0, LinkKind::kEthernet, 100 * units::Gbps);
   g.add_edge(s0, s1, LinkKind::kEthernet, 100 * units::Gbps);
-  const auto ranked =
-      rank_aggregation_switches(g, {gpu}, topo::PathConstraints{}, 5);
+  const topo::PathOracle oracle(g);
+  const auto ranked = rank_aggregation_switches(oracle, {gpu}, 5);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_EQ(ranked[0], s1);
 }

@@ -300,7 +300,7 @@ TEST(AdaptiveReaction, SlotExhaustionFallsBackToRingThenRepromotes) {
   AdaptiveFixture f;
   online::OnlineScheduler sched(f.network, f.config);
   const online::GroupId gid = sched.register_group(
-      "tp", online::build_policies(f.graph, f.members, {}));
+      "tp", online::build_policies(f.graph, f.members));
   sched.attach_switches(&f.switches);
 
   // The cross-server group must have both INA and ring candidates.
@@ -355,7 +355,7 @@ TEST(AdaptiveReaction, StaggeredSeizureLeavesHealthySwitchSelectable) {
   AdaptiveFixture f;
   online::OnlineScheduler sched(f.network, f.config);
   const online::GroupId gid = sched.register_group(
-      "tp", online::build_policies(f.graph, f.members, {}));
+      "tp", online::build_policies(f.graph, f.members));
   sched.attach_switches(&f.switches);
   const online::PolicyTable& table = sched.table(gid);
 
@@ -393,7 +393,7 @@ TEST(AdaptiveReaction, SyncLossBacksOffThenRecovers) {
   AdaptiveFixture f;
   online::OnlineScheduler sched(f.network, f.config);  // 10 ms period
   (void)sched.register_group(
-      "tp", online::build_policies(f.graph, f.members, {}));
+      "tp", online::build_policies(f.graph, f.members));
 
   FaultPlan plan;
   plan.events.push_back(f.event(FaultKind::kSyncDrop, 25.0 * units::ms,

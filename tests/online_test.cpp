@@ -1,11 +1,12 @@
 // Tests for the load-aware online scheduler: policy cost tables (Eq. 16),
 // cost propagation (Eq. 17), the sharing-ratio penalty (Eq. 18), policy
-// building, and the controller loop.
+// building, the controller loop, and the baselines' static plans.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "baselines/static_scheduler.hpp"
 #include "online/scheduler.hpp"
 #include "topology/builders.hpp"
 
@@ -172,9 +173,7 @@ TEST(BuildPolicies, HeroGetsHierarchicalInaAndRing) {
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
 
-  PolicyBuildOptions opts;
-  opts.switch_candidates = 2;
-  const auto policies = build_policies(g, members, opts);
+  const auto policies = build_policies(g, members);
   ASSERT_EQ(policies.size(), 3u);  // 2 INA switches + hier-ring
   int ina = 0, ring = 0;
   for (const Policy& p : policies) {
@@ -190,25 +189,9 @@ TEST(BuildPolicies, HeroGetsHierarchicalInaAndRing) {
   EXPECT_EQ(ring, 1);
 }
 
-TEST(BuildPolicies, HomogeneousIsFlatEthernet) {
-  const topo::Graph g = topo::make_testbed();
-  PolicyBuildOptions opts;
-  opts.heterogeneous = false;
-  opts.include_ina = false;
-  const auto gpus = g.gpus();
-  const auto policies =
-      build_policies(g, {gpus[0], gpus[1], gpus[4]}, opts);
-  ASSERT_EQ(policies.size(), 1u);
-  EXPECT_TRUE(policies[0].plan.local_groups.empty());
-  EXPECT_EQ(policies[0].plan.scheme, coll::Scheme::kRing);
-  for (topo::EdgeId e : policies[0].edges) {
-    EXPECT_EQ(g.edge(e).kind, topo::LinkKind::kEthernet);
-  }
-}
-
 TEST(BuildPolicies, EmptyGroupThrows) {
   const topo::Graph g = topo::make_testbed();
-  EXPECT_THROW(build_policies(g, {}, {}), std::invalid_argument);
+  EXPECT_THROW(build_policies(g, {}), std::invalid_argument);
 }
 
 // --- scheduler ---
@@ -224,7 +207,7 @@ TEST(OnlineScheduler, PlanStampsBytesAndUpdatesCosts) {
   OnlineScheduler sched(f.network);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(f.graph, by_server[0]));
   const coll::AllReducePlan plan = sched.plan_all_reduce(gid, 4 * units::MB);
   EXPECT_DOUBLE_EQ(raw(plan.bytes), raw(4 * units::MB));
   std::uint64_t selections = 0;
@@ -244,7 +227,7 @@ TEST(OnlineScheduler, RepeatedLoadRotatesAwayFromHotPolicy) {
   members.insert(members.end(), by_server[0].begin(), by_server[0].end());
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, members, {}));
+      "g", build_policies(f.graph, members));
   std::set<std::string> used;
   for (int i = 0; i < 50; ++i) {
     (void)sched.plan_all_reduce(gid, 64 * units::MB);
@@ -264,7 +247,7 @@ TEST(OnlineScheduler, ControllerTickRecalibratesCosts) {
   OnlineScheduler sched(f.network, cfg);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(f.graph, by_server[0]));
   // Inflate costs artificially; the controller resets them from (idle)
   // network measurements.
   sched.apply_cost_override(gid, 0, 99.0);
@@ -280,7 +263,7 @@ TEST(OnlineScheduler, ControllerDelayDefersEq17) {
   OnlineScheduler sched(f.network, cfg);
   const auto by_server = f.graph.gpus_by_server();
   const GroupId gid = sched.register_group(
-      "g", build_policies(f.graph, by_server[0], {}));
+      "g", build_policies(f.graph, by_server[0]));
   (void)sched.plan_all_reduce(gid, 64 * units::MB);
   double cost_now = 0;
   for (std::size_t i = 0; i < sched.table(gid).size(); ++i) {
@@ -317,6 +300,56 @@ TEST(HeroCommScheduler, UnicastPrefersUncongestedAlternate) {
   const topo::Path rerouted = sched.unicast_path(gpus[0], gpus[4]);
   EXPECT_GT(f.network.estimate_path(rerouted).residual, 0.0);
   EXPECT_NE(rerouted.edges, base.edges);
+}
+
+// --- the baselines' static plans ---
+
+TEST(StaticCommScheduler, NcclRuleKeepsNvlinkToSameServerLegs) {
+  // A DistServe ring over two testbed servers: every same-server leg is
+  // exactly one NVLink edge, every cross-server leg is all-Ethernet. The
+  // INA baselines' collection, distribution and fallback paths never touch
+  // NVLink.
+  SchedFixture f;
+  const topo::Graph& g = f.graph;
+  const auto by_server = g.gpus_by_server();
+  std::vector<NodeId> members = by_server[1];
+  members.insert(members.end(), by_server[0].begin(), by_server[0].end());
+
+  baselines::StaticCommScheduler distserve(
+      f.network, baselines::BaselineKind::kDistServe);
+  const coll::AllReducePlan& ring =
+      distserve.plan(distserve.register_group(members));
+  ASSERT_EQ(ring.ring_paths.size(), members.size());
+  std::size_t same_server = 0;
+  for (const topo::Path& leg : ring.ring_paths) {
+    if (g.node(leg.src()).gpu.server == g.node(leg.dst()).gpu.server) {
+      ++same_server;
+      ASSERT_EQ(leg.hops(), 1u);
+      EXPECT_EQ(g.edge(leg.edges[0]).kind, topo::LinkKind::kNvLink);
+    } else {
+      EXPECT_FALSE(leg.uses_nvlink(g));
+    }
+  }
+  EXPECT_EQ(same_server, members.size() - 2);
+
+  for (const auto kind :
+       {baselines::BaselineKind::kSwitchMl, baselines::BaselineKind::kAtp}) {
+    baselines::StaticCommScheduler sched(f.network, kind);
+    const coll::AllReducePlan& plan =
+        sched.plan(sched.register_group(members));
+    ASSERT_EQ(plan.up_paths.size(), members.size()) << to_string(kind);
+    ASSERT_EQ(plan.down_paths.size(), members.size()) << to_string(kind);
+    if (kind == baselines::BaselineKind::kAtp) {
+      ASSERT_EQ(plan.fallback_up.size(), members.size());
+      ASSERT_EQ(plan.fallback_down.size(), members.size());
+    }
+    for (const auto* paths : {&plan.up_paths, &plan.down_paths,
+                              &plan.fallback_up, &plan.fallback_down}) {
+      for (const topo::Path& p : *paths) {
+        EXPECT_FALSE(p.uses_nvlink(g)) << to_string(kind);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -56,6 +56,18 @@ TEST(TraceIo, RejectsMalformedRows) {
     std::stringstream bad(row);
     EXPECT_THROW(wl::read_trace_csv(bad), std::runtime_error) << row;
   }
+  // Token counts and session ids are integers below 2^32.
+  for (const char* row : {"0.2,1e30,10\n", "0.2,2.5,10\n",
+                          "0.2,4294967296,10\n", "0.2,10,2.5\n",
+                          "0.2,10,5,4294967296,0\n", "0.2,10,5,1,2.5\n"}) {
+    std::stringstream bad(row);
+    EXPECT_THROW(wl::read_trace_csv(bad), std::runtime_error) << row;
+  }
+  std::stringstream largest("0.2,4294967295,10,4294967295,7\n");
+  const wl::Trace kept = wl::read_trace_csv(largest);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].input_tokens, 4294967295u);
+  EXPECT_EQ(kept[0].session_id, 4294967295u);
 }
 
 TEST(TraceIo, SessionColumnsRoundTrip) {
