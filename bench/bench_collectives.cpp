@@ -52,19 +52,21 @@ Time run_collective(Variant variant, Bytes bytes,
   coll::AllReducePlan plan;
   if (hier) {
     plan = coll::make_hierarchical_plan(
-        members, bytes, ina ? coll::Scheme::kInaSync : coll::Scheme::kRing,
-        oracle, ina ? ranked.front() : topo::kInvalidNode);
+        members, ina ? coll::Scheme::kInaSync : coll::Scheme::kRing, oracle,
+        ina ? ranked.front() : topo::kInvalidNode);
   } else if (ina) {
-    plan = coll::make_ina_plan(members, bytes, ranked.front(),
-                               coll::Scheme::kInaSync, oracle);
+    plan = coll::make_ina_plan(members, ranked.front(), coll::Scheme::kInaSync,
+                               oracle);
   } else {
-    plan = coll::make_ring_plan(members, bytes, oracle);
+    plan = coll::make_ring_plan(members, oracle);
   }
 
   Time latency = 0;
-  engine.all_reduce(std::move(plan), [&](const coll::AllReduceResult& r) {
-    latency = r.latency();
-  });
+  auto shared = std::make_shared<const coll::AllReducePlan>(std::move(plan));
+  engine.all_reduce(std::move(shared), bytes,
+                    [&](const coll::AllReduceResult& r) {
+                      latency = r.latency();
+                    });
   simulator.run();
   return latency;
 }

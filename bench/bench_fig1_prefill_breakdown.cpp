@@ -64,9 +64,11 @@ Breakdown run_breakdown(topo::GpuModel gpu_model) {
   coll::CollectiveEngine engine(network, switches);
   const topo::PathOracle oracle(graph);
   const Bytes volume = model.iteration_sync_volume(kKin, model.layers);
-  engine.all_reduce(
-      coll::make_ring_plan(graph.gpus(), volume, oracle),
-      [&](const coll::AllReduceResult& r) { b.comm = r.latency(); });
+  engine.all_reduce(std::make_shared<const coll::AllReducePlan>(
+                        coll::make_ring_plan(graph.gpus(), oracle)),
+                    volume, [&](const coll::AllReduceResult& r) {
+                      b.comm = r.latency();
+                    });
   simulator.run();
   return b;
 }

@@ -38,14 +38,15 @@ Fig2Result run_fig2(bool heterogeneous, Bytes bytes) {
   const std::vector<topo::NodeId> group{graph.find("GN1"),
                                         graph.find("GN3")};
   const auto ranked = coll::rank_aggregation_switches(oracle, group, 1);
-  coll::AllReducePlan plan = coll::make_ina_plan(
-      group, bytes, ranked.front(), coll::Scheme::kInaSync, oracle);
+  auto plan = std::make_shared<const coll::AllReducePlan>(coll::make_ina_plan(
+      group, ranked.front(), coll::Scheme::kInaSync, oracle));
 
   Fig2Result result;
-  engine.all_reduce(std::move(plan), [&](const coll::AllReduceResult& r) {
-    result.collection = r.collected - r.start;
-    result.total = r.latency();
-  });
+  engine.all_reduce(std::move(plan), bytes,
+                    [&](const coll::AllReduceResult& r) {
+                      result.collection = r.collected - r.start;
+                      result.total = r.latency();
+                    });
   simulator.run();
   return result;
 }

@@ -83,11 +83,11 @@ double run_throughput(SystemKind kind, Bytes message) {
   // Closed loop: each group re-issues its all-reduce on completion.
   std::uint64_t completed = 0;
   std::function<void(std::size_t)> launch = [&](std::size_t g) {
-    coll::AllReducePlan plan = scheduler->all_reduce_plan(groups[g], message);
-    engine.all_reduce(std::move(plan), [&, g](const coll::AllReduceResult&) {
-      ++completed;
-      if (simulator.now() < kWindowSeconds) launch(g);
-    });
+    engine.all_reduce(scheduler->all_reduce_plan(groups[g], message), message,
+                      [&, g](const coll::AllReduceResult&) {
+                        ++completed;
+                        if (simulator.now() < kWindowSeconds) launch(g);
+                      });
   };
   for (std::size_t g = 0; g < kGroups; ++g) launch(g);
   simulator.run_until(kWindowSeconds * 1.5);

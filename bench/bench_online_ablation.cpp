@@ -48,7 +48,7 @@ double run_variant(const Variant& variant) {
 
   const auto by_server = graph.gpus_by_server();
   std::vector<coll::GroupId> groups;
-  std::vector<coll::AllReducePlan> first_plan(kGroups);
+  std::vector<std::shared_ptr<const coll::AllReducePlan>> first_plan(kGroups);
   for (std::size_t j = 0; j < kGroups; ++j) {
     std::vector<topo::NodeId> members;
     for (std::size_t i = 0; i < 4; ++i) members.push_back(by_server[j][i]);
@@ -78,21 +78,15 @@ double run_variant(const Variant& variant) {
   }
 
   std::uint64_t completed = 0;
-  std::vector<bool> have_first(kGroups, false);
   std::function<void(std::size_t)> launch = [&](std::size_t g) {
-    coll::AllReducePlan plan;
-    if (variant.frozen && have_first[g]) {
-      plan = first_plan[g];
-      plan.bytes = kMessage;
-    } else {
-      plan = scheduler.all_reduce_plan(groups[g], kMessage);
-      first_plan[g] = plan;
-      have_first[g] = true;
+    if (!variant.frozen || first_plan[g] == nullptr) {
+      first_plan[g] = scheduler.all_reduce_plan(groups[g], kMessage);
     }
-    engine.all_reduce(std::move(plan), [&, g](const coll::AllReduceResult&) {
-      ++completed;
-      if (simulator.now() < kWindowSeconds) launch(g);
-    });
+    engine.all_reduce(first_plan[g], kMessage,
+                      [&, g](const coll::AllReduceResult&) {
+                        ++completed;
+                        if (simulator.now() < kWindowSeconds) launch(g);
+                      });
   };
   for (std::size_t g = 0; g < kGroups; ++g) launch(g);
   simulator.run_until(kWindowSeconds * 1.5);

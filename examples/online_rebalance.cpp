@@ -54,12 +54,12 @@ int run(int argc, char** argv) {
   // Closed-loop all-reduces of 16 MB.
   std::uint64_t ops = 0;
   std::function<void()> launch = [&] {
-    coll::AllReducePlan plan =
-        scheduler.all_reduce_plan(group, 16.0 * units::MB);
-    engine.all_reduce(std::move(plan), [&](const coll::AllReduceResult&) {
-      ++ops;
-      if (simulator.now() < 0.6) launch();
-    });
+    const Bytes bytes = 16.0 * units::MB;
+    engine.all_reduce(scheduler.all_reduce_plan(group, bytes), bytes,
+                      [&](const coll::AllReduceResult&) {
+                        ++ops;
+                        if (simulator.now() < 0.6) launch();
+                      });
   };
   launch();
 

@@ -70,12 +70,12 @@ coll::GroupId StaticCommScheduler::register_group(
   coll::AllReducePlan plan;
   switch (kind_) {
     case BaselineKind::kDistServe:
-      plan = coll::make_ring_plan(std::move(members), 0.0, oracle);
+      plan = coll::make_ring_plan(std::move(members), oracle);
       break;
     case BaselineKind::kSwitchMl:
     case BaselineKind::kAtp: {
       if (single_server) {
-        plan = coll::make_ring_plan(std::move(members), 0.0, oracle);
+        plan = coll::make_ring_plan(std::move(members), oracle);
         break;
       }
       // The DS integration offloads NCCL's *inter-node* stage to the
@@ -104,21 +104,20 @@ coll::GroupId StaticCommScheduler::register_group(
         throw std::runtime_error("DS-ATP: no PS fallback host in topology");
       }
       plan = coll::make_hierarchical_plan(
-          std::move(members), 0.0,
+          std::move(members),
           sync ? coll::Scheme::kInaSync : coll::Scheme::kInaAsync, oracle,
           switches.front(), fallback_);
       break;
     }
   }
-  plans_.push_back(std::move(plan));
+  plans_.push_back(
+      std::make_shared<const coll::AllReducePlan>(std::move(plan)));
   return plans_.size() - 1;
 }
 
-coll::AllReducePlan StaticCommScheduler::all_reduce_plan(coll::GroupId group,
-                                                         Bytes bytes) {
-  coll::AllReducePlan plan = plans_.at(group);
-  plan.bytes = bytes;
-  return plan;
+std::shared_ptr<const coll::AllReducePlan>
+StaticCommScheduler::all_reduce_plan(coll::GroupId group, Bytes /*bytes*/) {
+  return plans_.at(group);
 }
 
 topo::Path StaticCommScheduler::unicast_path(topo::NodeId src,

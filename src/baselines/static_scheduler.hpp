@@ -13,6 +13,7 @@
 // scheduler.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "collectives/comm_scheduler.hpp"
@@ -30,8 +31,8 @@ class StaticCommScheduler final : public coll::CommScheduler {
   StaticCommScheduler(net::FlowNetwork& network, BaselineKind kind);
 
   coll::GroupId register_group(std::vector<topo::NodeId> members) override;
-  coll::AllReducePlan all_reduce_plan(coll::GroupId group,
-                                      Bytes bytes) override;
+  std::shared_ptr<const coll::AllReducePlan> all_reduce_plan(
+      coll::GroupId group, Bytes bytes) override;
   topo::Path unicast_path(topo::NodeId src, topo::NodeId dst) override;
   [[nodiscard]] std::uint64_t route_searches() const override {
     return routes_.sources_solved();
@@ -41,9 +42,9 @@ class StaticCommScheduler final : public coll::CommScheduler {
   }
 
   [[nodiscard]] BaselineKind kind() const { return kind_; }
-  /// The fixed plan of a registered group (bytes left 0).
+  /// The fixed plan of a registered group.
   [[nodiscard]] const coll::AllReducePlan& plan(coll::GroupId group) const {
-    return plans_.at(group);
+    return *plans_.at(group);
   }
 
  private:
@@ -51,7 +52,7 @@ class StaticCommScheduler final : public coll::CommScheduler {
   BaselineKind kind_;
   /// DS-ATP's end-host PS fallback: the topology's first plain server.
   topo::NodeId fallback_;
-  std::vector<coll::AllReducePlan> plans_;
+  std::vector<std::shared_ptr<const coll::AllReducePlan>> plans_;
   /// Ethernet-only unicast routes: one Dijkstra per source.
   topo::PathOracle routes_;
 };

@@ -2,7 +2,7 @@
 //
 // A CommScheduler answers two questions per communication event:
 //   * for a tensor-parallel group's all-reduce: which scheme over which
-//     paths (returned as a fully resolved AllReducePlan);
+//     paths (returned as a shared, fully resolved AllReducePlan);
 //   * for a point-to-point transfer (pipeline boundary, KV cache): which
 //     route.
 // HeroServe's implementation adapts both per call from the policy cost
@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "collectives/engine.hpp"
@@ -28,8 +29,11 @@ class CommScheduler {
   /// all_reduce_plan calls.
   virtual GroupId register_group(std::vector<topo::NodeId> members) = 0;
 
-  /// Resolve one all-reduce of `bytes` per member for a registered group.
-  virtual AllReducePlan all_reduce_plan(GroupId group, Bytes bytes) = 0;
+  /// Resolve one all-reduce of `bytes` per member for a registered group:
+  /// the chosen policy's (or the group's) plan, shared, not copied. The
+  /// payload goes to CollectiveEngine::all_reduce.
+  virtual std::shared_ptr<const AllReducePlan> all_reduce_plan(
+      GroupId group, Bytes bytes) = 0;
 
   /// Route a one-way transfer (pipeline activations, KV cache).
   virtual topo::Path unicast_path(topo::NodeId src, topo::NodeId dst) = 0;

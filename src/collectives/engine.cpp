@@ -20,63 +20,41 @@ const char* to_string(Scheme scheme) {
   return "?";
 }
 
-/// State of one ring all-reduce pass (flat wide phase or one NVLink-local
-/// group). Addresses stay stable: Ops live behind unique_ptr and these
-/// vectors are fully built before the first flow launches.
-struct RingRun {
-  std::vector<topo::Path> paths;
-  Bytes chunk = 0;
-  std::size_t steps_left = 0;
-  std::size_t flows_pending = 0;
+/// One flow barrier: a step's flows, one per path, and how many are still
+/// in flight. A ring pass repeats its step `steps_left` times; every other
+/// phase is a single step. Lanes live inside their Op (behind unique_ptr),
+/// so flow callbacks may hold their address.
+struct CollectiveEngine::Lane {
+  const std::vector<topo::Path>* paths = nullptr;
+  Bytes bytes = 0;  ///< per flow, before `scale`
+  /// Per-path payload fraction; null = every path carries `bytes`.
+  const std::vector<double>* scale = nullptr;
+  std::size_t steps_left = 1;
+  std::size_t pending = 0;
 };
 
 struct CollectiveEngine::Op {
+  /// What the op does when its current lane (or every local lane) drains.
+  enum class Phase : std::uint8_t {
+    kLocalRing,
+    kWideRing,
+    kGather,
+    kScatter,
+    kBroadcast
+  };
+
   std::uint64_t id = 0;
-  AllReducePlan plan;
+  std::shared_ptr<const AllReducePlan> plan;
+  Bytes bytes = 0;
   Done done;
   AllReduceResult result;
+  Phase phase = Phase::kLocalRing;
 
-  std::vector<RingRun> local_runs;
+  std::vector<Lane> local;  ///< one NVLink ring pass per multi-GPU group
   std::size_t local_pending = 0;
-  RingRun wide_ring;
-  std::size_t flows_pending = 0;  // INA / fallback / broadcast phases
+  Lane wide;  ///< wide ring, gather, scatter, then broadcast
   bool holds_slots = false;
 };
-
-namespace {
-
-void start_ring_pass(CollectiveEngine& engine, net::FlowNetwork& network,
-                     RingRun& run, std::function<void()> on_done);
-
-void ring_step(CollectiveEngine& engine, net::FlowNetwork& network,
-               RingRun& run, const std::shared_ptr<std::function<void()>>& done) {
-  run.flows_pending = run.paths.size();
-  for (const topo::Path& path : run.paths) {
-    network.start_transfer(
-        path, run.chunk,
-        net::TransferOptions{[&engine, &network, &run, done](net::TransferId) {
-          if (--run.flows_pending != 0) return;
-          if (--run.steps_left == 0) {
-            (*done)();
-          } else {
-            ring_step(engine, network, run, done);
-          }
-        }});
-  }
-}
-
-void start_ring_pass(CollectiveEngine& engine, net::FlowNetwork& network,
-                     RingRun& run, std::function<void()> on_done) {
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  if (run.paths.size() <= 1 || run.steps_left == 0 || run.chunk <= 0) {
-    // Degenerate ring: complete asynchronously for uniform semantics.
-    network.simulator().schedule_in(0.0, [done] { (*done)(); });
-    return;
-  }
-  ring_step(engine, network, run, done);
-}
-
-}  // namespace
 
 CollectiveEngine::CollectiveEngine(net::FlowNetwork& network,
                                    sw::SwitchRegistry& switches,
@@ -85,29 +63,32 @@ CollectiveEngine::CollectiveEngine(net::FlowNetwork& network,
 
 CollectiveEngine::~CollectiveEngine() = default;
 
-void CollectiveEngine::all_reduce(AllReducePlan plan, Done done) {
+void CollectiveEngine::all_reduce(std::shared_ptr<const AllReducePlan> plan,
+                                  Bytes bytes, Done done) {
+  if (plan == nullptr) throw std::invalid_argument("all_reduce: null plan");
   const std::uint64_t id = next_op_++;
   auto op = std::make_unique<Op>();
   op->id = id;
   op->plan = std::move(plan);
+  op->bytes = bytes;
   op->done = std::move(done);
   op->result.start = network_->simulator().now();
-  op->result.scheme = op->plan.scheme;
+  op->result.scheme = op->plan->scheme;
   Op& ref = *op;
+  const AllReducePlan& p = *ref.plan;
   ops_.emplace(id, std::move(op));
 
   sim::Simulator& sim = network_->simulator();
   if (obs::EventTracer* tr = sim.tracer()) {
-    std::string name = to_string(ref.plan.scheme);
-    if (!ref.plan.flat()) name = "hier-" + name;
-    obs::TraceArgs args{
-        obs::arg("bytes", ref.plan.bytes),
-        obs::arg("scheme", to_string(ref.plan.scheme)),
-        obs::arg("wide_members", ref.plan.wide_members.size()),
-        obs::arg("hierarchical", !ref.plan.flat())};
-    if (ref.plan.switch_node != topo::kInvalidNode) {
-      args.push_back(obs::arg(
-          "switch", network_->graph().node(ref.plan.switch_node).name));
+    std::string name = to_string(p.scheme);
+    if (!p.flat()) name = "hier-" + name;
+    obs::TraceArgs args{obs::arg("bytes", bytes),
+                        obs::arg("scheme", to_string(p.scheme)),
+                        obs::arg("wide_members", p.wide_members.size()),
+                        obs::arg("hierarchical", !p.flat())};
+    if (p.switch_node != topo::kInvalidNode) {
+      args.push_back(
+          obs::arg("switch", network_->graph().node(p.switch_node).name));
     }
     tr->async_begin(sim.now(), id, "collective", std::move(name),
                     std::move(args));
@@ -120,53 +101,44 @@ void CollectiveEngine::all_reduce(AllReducePlan plan, Done done) {
                                   static_cast<double>(ops_.size()));
   }
 
-  if (!ref.plan.local_groups.empty()) {
-    start_local_phase(ref);
-  } else {
-    start_wide_phase(ref);
-  }
+  start_local_phase(ref);
 }
 
 void CollectiveEngine::start_local_phase(Op& op) {
-  // NVLink-local ring all-reduce inside every server group.
-  op.local_runs.clear();
-  op.local_runs.reserve(op.plan.local_groups.size());
-  for (const auto& group : op.plan.local_groups) {
-    if (group.size() <= 1) continue;
-    RingRun run;
-    run.chunk = op.plan.bytes / static_cast<double>(group.size());
-    run.steps_left = 2 * (group.size() - 1);
-    run.paths.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      run.paths.push_back(direct_nvlink_path(
-          network_->graph(), group[i], group[(i + 1) % group.size()]));
-    }
-    op.local_runs.push_back(std::move(run));
+  // NVLink-local ring all-reduce inside every multi-GPU server group; flat
+  // plans have none and go straight to the wide phase.
+  op.local.reserve(op.plan->local_rings.size());
+  for (const std::vector<topo::Path>& ring : op.plan->local_rings) {
+    if (ring.empty()) continue;
+    const Bytes chunk = op.bytes / static_cast<double>(ring.size());
+    op.local.push_back(Lane{&ring, chunk, nullptr, 2 * (ring.size() - 1)});
   }
-  if (op.local_runs.empty()) {
+  if (op.local.empty()) {
     start_wide_phase(op);
     return;
   }
-  op.local_pending = op.local_runs.size();
-  for (RingRun& run : op.local_runs) {
-    start_ring_pass(*this, *network_, run, [this, id = op.id] {
-      auto it = ops_.find(id);
-      if (it == ops_.end()) return;
-      if (--it->second->local_pending == 0) start_wide_phase(*it->second);
-    });
-  }
+  op.local_pending = op.local.size();
+  for (Lane& lane : op.local) start_ring(op, lane);
 }
 
 void CollectiveEngine::start_wide_phase(Op& op) {
+  const AllReducePlan& plan = *op.plan;
   op.result.wide_start = network_->simulator().now();
-  if (op.plan.wide_members.size() <= 1) {
+  const std::size_t n = plan.wide_members.size();
+  if (n <= 1) {
     op.result.collected = op.result.wide_start;
     start_broadcast_phase(op);
     return;
   }
-  switch (op.plan.scheme) {
+  switch (plan.scheme) {
     case Scheme::kRing:
-      run_ring(op);
+      if (plan.ring_paths.size() != n) {
+        throw std::invalid_argument("all_reduce: ring_paths size mismatch");
+      }
+      op.phase = Op::Phase::kWideRing;
+      op.wide = Lane{&plan.ring_paths, op.bytes / static_cast<double>(n),
+                     nullptr, 2 * (n - 1)};
+      start_ring(op, op.wide);
       break;
     case Scheme::kInaSync:
     case Scheme::kInaAsync:
@@ -175,36 +147,28 @@ void CollectiveEngine::start_wide_phase(Op& op) {
   }
 }
 
-void CollectiveEngine::run_ring(Op& op) {
-  if (op.plan.ring_paths.size() != op.plan.wide_members.size()) {
-    throw std::invalid_argument("all_reduce: ring_paths size mismatch");
+void CollectiveEngine::start_ring(Op& op, Lane& lane) {
+  if (lane.bytes <= 0) {
+    // Empty payload: complete asynchronously for uniform semantics.
+    network_->simulator().schedule_in(0.0, [this, &op] { phase_done(op); });
+    return;
   }
-  op.wide_ring.paths = op.plan.ring_paths;
-  op.wide_ring.chunk =
-      op.plan.bytes / static_cast<double>(op.plan.wide_members.size());
-  op.wide_ring.steps_left = 2 * (op.plan.wide_members.size() - 1);
-  start_ring_pass(*this, *network_, op.wide_ring, [this, id = op.id] {
-    auto it = ops_.find(id);
-    if (it == ops_.end()) return;
-    it->second->result.collected = network_->simulator().now();
-    start_broadcast_phase(*it->second);
-  });
+  launch(op, lane);
 }
 
 void CollectiveEngine::run_ina(Op& op) {
-  if (op.plan.switch_node == topo::kInvalidNode ||
-      op.plan.up_paths.size() != op.plan.wide_members.size() ||
-      op.plan.down_paths.size() != op.plan.wide_members.size()) {
+  const AllReducePlan& plan = *op.plan;
+  if (plan.switch_node == topo::kInvalidNode ||
+      plan.up_paths.size() != plan.wide_members.size() ||
+      plan.down_paths.size() != plan.wide_members.size()) {
     throw std::invalid_argument("all_reduce: incomplete INA plan");
   }
-  sw::SwitchAgent& agent = switches_->agent(op.plan.switch_node);
-  const bool sync = op.plan.scheme == Scheme::kInaSync;
-  const sw::Admission admission = agent.reserve(
-      op.id, op.plan.slots, /*queue_if_full=*/sync, [this, id = op.id] {
-        auto it = ops_.find(id);
-        if (it == ops_.end()) return;
-        it->second->holds_slots = true;
-        ina_collect(*it->second);
+  sw::SwitchAgent& agent = switches_->agent(plan.switch_node);
+  const bool sync = plan.scheme == Scheme::kInaSync;
+  const sw::Admission admission =
+      agent.reserve(op.id, plan.slots, /*queue_if_full=*/sync, [this, &op] {
+        op.holds_slots = true;
+        gather(op);
       });
   if (admission == sw::Admission::kRejected) {
     // ATP best-effort: aggregate at the end-host parameter server instead.
@@ -212,61 +176,17 @@ void CollectiveEngine::run_ina(Op& op) {
   }
 }
 
-void CollectiveEngine::ina_collect(Op& op) {
-  op.flows_pending = op.plan.up_paths.size();
-  for (std::size_t i = 0; i < op.plan.up_paths.size(); ++i) {
-    const topo::Path& path = op.plan.up_paths[i];
-    const double scale =
-        op.plan.wide_scale.empty() ? 1.0 : op.plan.wide_scale[i];
-    network_->start_transfer(
-        path, op.plan.bytes * scale,
-        net::TransferOptions{[this, id = op.id](net::TransferId) {
-          auto it = ops_.find(id);
-          if (it == ops_.end()) return;
-          Op& o = *it->second;
-          if (--o.flows_pending != 0) return;
-          o.result.collected = network_->simulator().now();
-          // Constant in-switch aggregation latency, then distribution.
-          network_->simulator().schedule_in(
-              config_.cost.agg_latency, [this, id] {
-                auto it2 = ops_.find(id);
-                if (it2 == ops_.end()) return;
-                Op& o2 = *it2->second;
-                o2.flows_pending = o2.plan.down_paths.size();
-                for (std::size_t di = 0; di < o2.plan.down_paths.size();
-                     ++di) {
-                  const topo::Path& down = o2.plan.down_paths[di];
-                  const double dscale = o2.plan.wide_scale.empty()
-                                            ? 1.0
-                                            : o2.plan.wide_scale[di];
-                  network_->start_transfer(
-                      down, o2.plan.bytes * dscale,
-                      net::TransferOptions{[this, id](net::TransferId) {
-                        auto it3 = ops_.find(id);
-                        if (it3 == ops_.end()) return;
-                        Op& o3 = *it3->second;
-                        if (--o3.flows_pending != 0) return;
-                        switches_->agent(o3.plan.switch_node)
-                            .release(o3.id);
-                        o3.holds_slots = false;
-                        start_broadcast_phase(o3);
-                      }});
-                }
-              });
-        }});
-  }
-}
-
 void CollectiveEngine::run_fallback(Op& op) {
+  const AllReducePlan& plan = *op.plan;
   // Fallback consistency: only a best-effort (async INA) reservation can
   // be rejected into the end-host path, and never while holding slots.
-  HERO_INVARIANT(op.plan.scheme == Scheme::kInaAsync,
-                 "fallback taken for scheme {}", to_string(op.plan.scheme));
+  HERO_INVARIANT(plan.scheme == Scheme::kInaAsync,
+                 "fallback taken for scheme {}", to_string(plan.scheme));
   HERO_INVARIANT(!op.holds_slots, "op {} falls back while holding slots",
                  op.id);
-  if (op.plan.fallback_node == topo::kInvalidNode ||
-      op.plan.fallback_up.size() != op.plan.wide_members.size() ||
-      op.plan.fallback_down.size() != op.plan.wide_members.size()) {
+  if (plan.fallback_node == topo::kInvalidNode ||
+      plan.fallback_up.size() != plan.wide_members.size() ||
+      plan.fallback_down.size() != plan.wide_members.size()) {
     throw std::invalid_argument(
         "all_reduce: async INA rejected and no fallback configured");
   }
@@ -278,110 +198,123 @@ void CollectiveEngine::run_fallback(Op& op) {
     // op re-routes through the end-host parameter server.
     tr->instant(sim.now(), tr->track("collectives"), "ina_fallback",
                 "switch-reject->host-ps",
-                {obs::arg("op", op.id), obs::arg("bytes", op.plan.bytes),
+                {obs::arg("op", op.id), obs::arg("bytes", op.bytes),
                  obs::arg("fallback",
-                          network_->graph().node(op.plan.fallback_node).name)});
+                          network_->graph().node(plan.fallback_node).name)});
   }
   if (obs::MetricsRegistry* m = sim.metrics()) {
     m->counter("coll.fallbacks").add();
   }
-  op.flows_pending = op.plan.fallback_up.size();
-  for (std::size_t i = 0; i < op.plan.fallback_up.size(); ++i) {
-    const topo::Path& path = op.plan.fallback_up[i];
-    const double scale =
-        op.plan.wide_scale.empty() ? 1.0 : op.plan.wide_scale[i];
+  gather(op);
+}
+
+void CollectiveEngine::gather(Op& op) {
+  // Every wide member ships its (shard of the) payload to the aggregation
+  // point: the switch, or the end-host PS after a rejection.
+  const AllReducePlan& plan = *op.plan;
+  op.phase = Op::Phase::kGather;
+  op.wide = Lane{op.result.used_fallback ? &plan.fallback_up : &plan.up_paths,
+                 op.bytes,
+                 plan.wide_scale.empty() ? nullptr : &plan.wide_scale};
+  launch(op, op.wide);
+}
+
+void CollectiveEngine::scatter(Op& op) {
+  const AllReducePlan& plan = *op.plan;
+  op.phase = Op::Phase::kScatter;
+  op.wide =
+      Lane{op.result.used_fallback ? &plan.fallback_down : &plan.down_paths,
+           op.bytes, plan.wide_scale.empty() ? nullptr : &plan.wide_scale};
+  launch(op, op.wide);
+}
+
+void CollectiveEngine::start_broadcast_phase(Op& op) {
+  if (op.plan->broadcast_legs.empty()) {
+    finish(op);
+    return;
+  }
+  op.phase = Op::Phase::kBroadcast;
+  op.wide = Lane{&op.plan->broadcast_legs, op.bytes};
+  launch(op, op.wide);
+}
+
+void CollectiveEngine::launch(Op& op, Lane& lane) {
+  const std::vector<topo::Path>& paths = *lane.paths;
+  lane.pending = paths.size();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     network_->start_transfer(
-        path, op.plan.bytes * scale,
-        net::TransferOptions{[this, id = op.id](net::TransferId) {
-          auto it = ops_.find(id);
-          if (it == ops_.end()) return;
-          Op& o = *it->second;
-          if (--o.flows_pending != 0) return;
-          o.result.collected = network_->simulator().now();
-          // Host-side reduction of P payloads through memory bandwidth.
-          const Time host_time =
-              static_cast<double>(o.plan.wide_members.size()) * o.plan.bytes /
-              config_.cost.host_agg_bw;
-          network_->simulator().schedule_in(host_time, [this, id] {
-            auto it2 = ops_.find(id);
-            if (it2 == ops_.end()) return;
-            Op& o2 = *it2->second;
-            o2.flows_pending = o2.plan.fallback_down.size();
-            for (std::size_t di = 0; di < o2.plan.fallback_down.size();
-                 ++di) {
-              const topo::Path& down = o2.plan.fallback_down[di];
-              const double dscale = o2.plan.wide_scale.empty()
-                                        ? 1.0
-                                        : o2.plan.wide_scale[di];
-              network_->start_transfer(
-                  down, o2.plan.bytes * dscale,
-                  net::TransferOptions{[this, id](net::TransferId) {
-                    auto it3 = ops_.find(id);
-                    if (it3 == ops_.end()) return;
-                    Op& o3 = *it3->second;
-                    if (--o3.flows_pending != 0) return;
-                    start_broadcast_phase(o3);
-                  }});
-            }
-          });
+        paths[i],
+        lane.scale == nullptr ? lane.bytes : lane.bytes * (*lane.scale)[i],
+        net::TransferOptions{[this, &op, &lane](net::TransferId) {
+          if (--lane.pending != 0) return;
+          if (--lane.steps_left != 0) {
+            launch(op, lane);
+          } else {
+            phase_done(op);
+          }
         }});
   }
 }
 
-void CollectiveEngine::start_broadcast_phase(Op& op) {
-  if (op.plan.local_groups.empty()) {
-    finish(op);
-    return;
-  }
-  std::size_t transfers = 0;
-  for (const auto& group : op.plan.local_groups) {
-    if (group.size() > 1) transfers += group.size() - 1;
-  }
-  if (transfers == 0) {
-    finish(op);
-    return;
-  }
-  op.flows_pending = transfers;
-  for (const auto& group : op.plan.local_groups) {
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      network_->start_transfer(
-          direct_nvlink_path(network_->graph(), group[0], group[i]),
-          op.plan.bytes,
-          net::TransferOptions{[this, id = op.id](net::TransferId) {
-            auto it = ops_.find(id);
-            if (it == ops_.end()) return;
-            if (--it->second->flows_pending == 0) finish(*it->second);
-          }});
+void CollectiveEngine::phase_done(Op& op) {
+  sim::Simulator& sim = network_->simulator();
+  switch (op.phase) {
+    case Op::Phase::kLocalRing:
+      if (--op.local_pending == 0) start_wide_phase(op);
+      return;
+    case Op::Phase::kWideRing:
+      op.result.collected = sim.now();
+      start_broadcast_phase(op);
+      return;
+    case Op::Phase::kGather: {
+      op.result.collected = sim.now();
+      // The switch aggregates at a constant latency; the PS host reduces
+      // P payloads through memory bandwidth.
+      const Time reduce =
+          op.result.used_fallback
+              ? static_cast<double>(op.plan->wide_members.size()) * op.bytes /
+                    config_.cost.host_agg_bw
+              : config_.cost.agg_latency;
+      sim.schedule_in(reduce, [this, &op] { scatter(op); });
+      return;
     }
+    case Op::Phase::kScatter:
+      if (op.holds_slots) {
+        switches_->agent(op.plan->switch_node).release(op.id);
+        op.holds_slots = false;
+      }
+      start_broadcast_phase(op);
+      return;
+    case Op::Phase::kBroadcast:
+      finish(op);
+      return;
   }
 }
 
 void CollectiveEngine::finish(Op& op) {
-  // Every phase barrier must have drained before an op completes.
-  HERO_INVARIANT(op.flows_pending == 0,
-                 "op {} finished with {} flows pending", op.id,
-                 op.flows_pending);
+  const AllReducePlan& plan = *op.plan;
+  // Every phase barrier must have drained, and the slots been returned,
+  // before an op completes.
+  HERO_INVARIANT(op.wide.pending == 0, "op {} finished with {} flows pending",
+                 op.id, op.wide.pending);
   HERO_INVARIANT(op.local_pending == 0,
                  "op {} finished with {} local rings pending", op.id,
                  op.local_pending);
-  HERO_INVARIANT(op.result.used_fallback ? op.plan.scheme == Scheme::kInaAsync
+  HERO_INVARIANT(!op.holds_slots, "op {} finished holding slots", op.id);
+  HERO_INVARIANT(op.result.used_fallback ? plan.scheme == Scheme::kInaAsync
                                          : true,
                  "op {} recorded fallback under scheme {}", op.id,
-                 to_string(op.plan.scheme));
+                 to_string(plan.scheme));
   op.result.end = network_->simulator().now();
   ++ops_completed;
-  if (op.holds_slots) {
-    switches_->agent(op.plan.switch_node).release(op.id);
-    op.holds_slots = false;
-  }
   Done done = std::move(op.done);
   const AllReduceResult result = op.result;
   const std::uint64_t id = op.id;
   // Rebuild the begin event's name: legacy async matching is by
   // (category, name, id).
-  std::string name = to_string(op.plan.scheme);
-  if (!op.plan.flat()) name = "hier-" + name;
-  ops_.erase(op.id);
+  std::string name = to_string(plan.scheme);
+  if (!plan.flat()) name = "hier-" + name;
+  ops_.erase(id);
   sim::Simulator& sim = network_->simulator();
   if (obs::EventTracer* tr = sim.tracer()) {
     tr->async_end(sim.now(), id, "collective", std::move(name),
@@ -414,12 +347,24 @@ topo::Path route(const topo::PathOracle& oracle, topo::NodeId a,
   return *std::move(p);
 }
 
+/// The direct NVLink edge a -> b between two same-server GPUs, or
+/// std::runtime_error naming both GPUs.
+topo::Path direct_nvlink_path(const topo::Graph& g, topo::NodeId a,
+                              topo::NodeId b) {
+  for (const topo::Adjacency& adj : g.neighbors(a)) {
+    if (adj.peer == b && g.edge(adj.edge).kind == topo::LinkKind::kNvLink) {
+      return topo::Path{{a, b}, {adj.edge}};
+    }
+  }
+  throw std::runtime_error("plan builder: no NVLink edge " + g.node(a).name +
+                           " -> " + g.node(b).name);
+}
+
 }  // namespace
 
-AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,
+AllReducePlan make_ring_plan(std::vector<topo::NodeId> members,
                              const topo::PathOracle& oracle) {
   AllReducePlan plan;
-  plan.bytes = bytes;
   plan.scheme = Scheme::kRing;
   plan.wide_members = std::move(members);
   plan.ring_paths.reserve(plan.wide_members.size());
@@ -433,7 +378,7 @@ AllReducePlan make_ring_plan(std::vector<topo::NodeId> members, Bytes bytes,
   return plan;
 }
 
-AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
+AllReducePlan make_ina_plan(std::vector<topo::NodeId> members,
                             topo::NodeId agg_switch, Scheme scheme,
                             const topo::PathOracle& oracle,
                             topo::NodeId fallback, std::uint32_t slots) {
@@ -441,7 +386,6 @@ AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
     throw std::invalid_argument("make_ina_plan: scheme must be INA");
   }
   AllReducePlan plan;
-  plan.bytes = bytes;
   plan.scheme = scheme;
   plan.wide_members = std::move(members);
   plan.switch_node = agg_switch;
@@ -463,7 +407,7 @@ AllReducePlan make_ina_plan(std::vector<topo::NodeId> members, Bytes bytes,
 }
 
 AllReducePlan make_hierarchical_plan(std::vector<topo::NodeId> members,
-                                     Bytes bytes, Scheme wide_scheme,
+                                     Scheme wide_scheme,
                                      const topo::PathOracle& oracle,
                                      topo::NodeId agg_switch,
                                      topo::NodeId fallback,
@@ -484,7 +428,7 @@ AllReducePlan make_hierarchical_plan(std::vector<topo::NodeId> members,
     std::vector<topo::NodeId> leaders;
     leaders.reserve(groups.size());
     for (const auto& group : groups) leaders.push_back(group.front());
-    plan = make_ring_plan(leaders, bytes, oracle);
+    plan = make_ring_plan(leaders, oracle);
   } else {
     // Sharded INA: every member streams its 1/g shard via its own NIC.
     std::vector<topo::NodeId> all_members;
@@ -495,22 +439,25 @@ AllReducePlan make_hierarchical_plan(std::vector<topo::NodeId> members,
         scale.push_back(1.0 / static_cast<double>(group.size()));
       }
     }
-    plan = make_ina_plan(all_members, bytes, agg_switch, wide_scheme, oracle,
+    plan = make_ina_plan(all_members, agg_switch, wide_scheme, oracle,
                          fallback, slots);
     plan.wide_scale = std::move(scale);
   }
-  plan.local_groups = std::move(groups);
-  return plan;
-}
-
-topo::Path direct_nvlink_path(const topo::Graph& g, topo::NodeId a,
-                              topo::NodeId b) {
-  for (const topo::Adjacency& adj : g.neighbors(a)) {
-    if (adj.peer == b && g.edge(adj.edge).kind == topo::LinkKind::kNvLink) {
-      return topo::Path{{a, b}, {adj.edge}};
+  plan.local_rings.reserve(groups.size());
+  for (const auto& group : groups) {
+    std::vector<topo::Path>& ring = plan.local_rings.emplace_back();
+    if (group.size() <= 1) continue;
+    ring.reserve(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      ring.push_back(
+          direct_nvlink_path(g, group[i], group[(i + 1) % group.size()]));
+    }
+    for (std::size_t i = 1; i < group.size(); ++i) {
+      plan.broadcast_legs.push_back(direct_nvlink_path(g, group[0], group[i]));
     }
   }
-  throw std::invalid_argument("direct_nvlink_path: no NVLink edge");
+  plan.local_groups = std::move(groups);
+  return plan;
 }
 
 std::vector<topo::NodeId> rank_aggregation_switches(

@@ -3,8 +3,10 @@
 // The engine executes fully *resolved* plans: the caller (offline planner
 // output or the online scheduler) has already decided the scheme (ring /
 // synchronous INA / asynchronous INA), the aggregation switch, and every
-// transmission path. The engine turns that decision into flows, enforces
-// switch slot admission, and reports phase timestamps.
+// transmission path. A plan is immutable and shared: it is built once per
+// policy (or per baseline group) and every op reads it through a
+// shared_ptr, with the payload given per op. The engine turns the plan into
+// flows, enforces switch slot admission, and reports phase timestamps.
 //
 // Supported shapes:
 //  * flat ring all-reduce           (the NCCL baseline, Eq. 11 semantics)
@@ -18,7 +20,8 @@
 //
 // Asynchronous INA (ATP) falls back to end-host PS aggregation when the
 // switch rejects the reservation, reproducing ATP's best-effort degradation
-// under slot pressure.
+// under slot pressure. Both aggregation points run the same gather ->
+// reduce -> scatter phases; only the reduce delay differs.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +40,18 @@ enum class Scheme : std::uint8_t { kRing, kInaSync, kInaAsync };
 
 [[nodiscard]] const char* to_string(Scheme scheme);
 
+/// A resolved all-reduce route set. The payload is not part of the plan:
+/// CollectiveEngine::all_reduce takes it per op.
 struct AllReducePlan {
-  Bytes bytes = 0;  ///< per-GPU payload (the all-reduce tensor size)
-
   /// Hierarchical phase: same-server groups (leader at index 0). Empty for
   /// flat plans.
   std::vector<std::vector<topo::NodeId>> local_groups;
+  /// local_rings[k][i] is the NVLink edge from local_groups[k][i] to
+  /// local_groups[k][(i+1) % g]; empty for a single-GPU group.
+  std::vector<std::vector<topo::Path>> local_rings;
+  /// The NVLink leader -> member legs of every group, in group order: the
+  /// final broadcast.
+  std::vector<topo::Path> broadcast_legs;
 
   /// Inter-server phase participants (every member when flat, the leaders
   /// when hierarchical).
@@ -97,8 +106,10 @@ class CollectiveEngine {
 
   using Done = std::function<void(const AllReduceResult&)>;
 
-  /// Execute an all-reduce; `done` fires when every member holds the result.
-  void all_reduce(AllReducePlan plan, Done done);
+  /// Execute an all-reduce of `bytes` per member over `plan`; `done` fires
+  /// when every member holds the result. The op keeps `plan` alive.
+  void all_reduce(std::shared_ptr<const AllReducePlan> plan, Bytes bytes,
+                  Done done);
 
   [[nodiscard]] net::FlowNetwork& network() { return *network_; }
   [[nodiscard]] sw::SwitchRegistry& switches() { return *switches_; }
@@ -110,6 +121,7 @@ class CollectiveEngine {
 
  private:
   struct Op;
+  struct Lane;
 
   net::FlowNetwork* network_;
   sw::SwitchRegistry* switches_;
@@ -119,12 +131,14 @@ class CollectiveEngine {
 
   void start_local_phase(Op& op);
   void start_wide_phase(Op& op);
-  void run_ring(Op& op);
-  void ring_step(Op& op);
+  void start_ring(Op& op, Lane& lane);
   void run_ina(Op& op);
-  void ina_collect(Op& op);
   void run_fallback(Op& op);
+  void gather(Op& op);
+  void scatter(Op& op);
   void start_broadcast_phase(Op& op);
+  void launch(Op& op, Lane& lane);
+  void phase_done(Op& op);
   void finish(Op& op);
 };
 
@@ -136,14 +150,13 @@ class CollectiveEngine {
 
 /// Flat ring plan over `members` in the given order.
 [[nodiscard]] AllReducePlan make_ring_plan(std::vector<topo::NodeId> members,
-                                           Bytes bytes,
                                            const topo::PathOracle& oracle);
 
 /// Flat INA plan aggregating at `agg_switch`; async plans may carry a
 /// fallback host.
 [[nodiscard]] AllReducePlan make_ina_plan(
-    std::vector<topo::NodeId> members, Bytes bytes, topo::NodeId agg_switch,
-    Scheme scheme, const topo::PathOracle& oracle,
+    std::vector<topo::NodeId> members, topo::NodeId agg_switch, Scheme scheme,
+    const topo::PathOracle& oracle,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
 
 /// Hierarchical plan: members grouped by server. For ring schemes the
@@ -151,16 +164,14 @@ class CollectiveEngine {
 /// schemes the wide phase is *sharded* — a local reduce-scatter leaves each
 /// GPU with a 1/g shard which it streams to `agg_switch` through its own
 /// NIC (SwitchML's per-worker streams), followed by a local all-gather.
+/// Every local ring leg and broadcast leg is the direct NVLink edge between
+/// two same-server GPUs; a missing edge throws std::runtime_error naming
+/// both GPUs.
 [[nodiscard]] AllReducePlan make_hierarchical_plan(
-    std::vector<topo::NodeId> members, Bytes bytes, Scheme wide_scheme,
+    std::vector<topo::NodeId> members, Scheme wide_scheme,
     const topo::PathOracle& oracle,
     topo::NodeId agg_switch = topo::kInvalidNode,
     topo::NodeId fallback = topo::kInvalidNode, std::uint32_t slots = 8);
-
-/// Single NVLink edge path between two same-server GPUs (throws when there
-/// is no direct NVLink edge).
-[[nodiscard]] topo::Path direct_nvlink_path(const topo::Graph& g,
-                                            topo::NodeId a, topo::NodeId b);
 
 /// Aggregation-switch election: switches with aggregator slots, ranked by
 /// the worst, then the total, member latency (1 MiB reference) over

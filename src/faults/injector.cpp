@@ -263,7 +263,7 @@ void FaultInjector::notify_scheduler_switch(topo::NodeId node) {
     const online::PolicyTable& table = online.table(g);
     for (std::size_t i = 0; i < table.size(); ++i) {
       const online::Policy& p = table.policy(i);
-      if (p.plan.switch_node != node) continue;
+      if (p.plan->switch_node != node) continue;
       online.apply_cost_override(
           g, i, std::min(1.0, p.cost + online::kInaUnavailablePenalty));
     }

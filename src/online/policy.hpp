@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,9 +39,9 @@ struct OnlineConfig {
 
 struct Policy {
   std::string name;
-  /// Fully resolved plan with bytes = 0; the scheduler stamps the payload
-  /// size per collective call.
-  coll::AllReducePlan plan;
+  /// Fully resolved plan, built once and shared with every op that selects
+  /// this policy (the payload is given per op).
+  std::shared_ptr<const coll::AllReducePlan> plan;
   /// Every edge the policy touches (wide paths + NVLink-local edges);
   /// deduplicated. Drives the sharing ratio W and cost measurement.
   std::vector<topo::EdgeId> edges;
@@ -52,9 +53,10 @@ struct Policy {
   [[nodiscard]] Bandwidth bottleneck_capacity(const topo::Graph& g) const;
 };
 
-/// Collect the deduplicated edge set of a resolved plan.
+/// Collect the deduplicated edge set of a resolved plan: its ring,
+/// collection and distribution paths plus the NVLink broadcast legs.
 [[nodiscard]] std::vector<topo::EdgeId> plan_edges(
-    const coll::AllReducePlan& plan, const topo::Graph& g);
+    const coll::AllReducePlan& plan);
 
 class PolicyTable {
  public:

@@ -55,19 +55,19 @@ std::vector<Policy> build_policies(const topo::Graph& graph,
   auto add = [&](std::string name, coll::AllReducePlan plan) {
     Policy p;
     p.name = std::move(name);
-    p.edges = plan_edges(plan, graph);
-    p.plan = std::move(plan);
+    p.edges = plan_edges(plan);
+    p.plan = std::make_shared<const coll::AllReducePlan>(std::move(plan));
     policies.push_back(std::move(p));
   };
 
   for (topo::NodeId sw : coll::rank_aggregation_switches(
            oracle, server_leaders(graph, members), kSwitchCandidates)) {
     add(strfmt("hier-ina@{}", graph.node(sw).name),
-        coll::make_hierarchical_plan(members, 0.0, kInaScheme, oracle, sw));
+        coll::make_hierarchical_plan(members, kInaScheme, oracle, sw));
   }
   // Ring is always a candidate: the fallback when every INA switch starves.
   add("hier-ring",
-      coll::make_hierarchical_plan(members, 0.0, coll::Scheme::kRing, oracle));
+      coll::make_hierarchical_plan(members, coll::Scheme::kRing, oracle));
   return policies;
 }
 
@@ -121,8 +121,8 @@ void OnlineScheduler::apply_switch_health(GroupId group) {
   sim::Simulator& s = network_->simulator();
   for (std::size_t i = 0; i < table.size(); ++i) {
     Policy& p = table.policy(i);
-    if (p.plan.switch_node == topo::kInvalidNode) continue;
-    const sw::SwitchAgent& agent = switches_->agent(p.plan.switch_node);
+    if (p.plan->switch_node == topo::kInvalidNode) continue;
+    const sw::SwitchAgent& agent = switches_->agent(p.plan->switch_node);
     const bool starved = agent.slots_in_use() >= agent.slots_total() ||
                          agent.queue_depth() > 0;
     if (starved) p.cost += kInaUnavailablePenalty;
@@ -134,7 +134,7 @@ void OnlineScheduler::apply_switch_health(GroupId group) {
                     {obs::arg("group", names_.at(group)),
                      obs::arg("policy", p.name),
                      obs::arg("switch",
-                              network_->graph().node(p.plan.switch_node).name),
+                              network_->graph().node(p.plan->switch_node).name),
                      obs::arg("slots_in_use",
                               static_cast<std::uint64_t>(agent.slots_in_use())),
                      obs::arg("queued",
@@ -200,8 +200,8 @@ void OnlineScheduler::controller_tick() {
   s.schedule_in(config_.sync_period, [this] { controller_tick(); });
 }
 
-coll::AllReducePlan OnlineScheduler::plan_all_reduce(GroupId group,
-                                                     Bytes bytes) {
+std::shared_ptr<const coll::AllReducePlan>
+OnlineScheduler::plan_all_reduce(GroupId group, Bytes bytes) {
   HERO_REQUIRE(bytes >= 0, "plan_all_reduce: negative payload {}", bytes);
   PolicyTable& table = *tables_.at(group);
   const std::size_t choice = table.select(bytes, config_);
@@ -233,9 +233,7 @@ coll::AllReducePlan OnlineScheduler::plan_all_reduce(GroupId group,
   } else {
     table.apply_selection(choice, bytes, config_);
   }
-  coll::AllReducePlan plan = table.policy(choice).plan;
-  plan.bytes = bytes;
-  return plan;
+  return table.policy(choice).plan;
 }
 
 const PolicyTable& OnlineScheduler::table(GroupId group) const {
@@ -289,8 +287,8 @@ GroupId HeroCommScheduler::register_group(
       std::move(policies));
 }
 
-coll::AllReducePlan HeroCommScheduler::all_reduce_plan(GroupId group,
-                                                       Bytes bytes) {
+std::shared_ptr<const coll::AllReducePlan>
+HeroCommScheduler::all_reduce_plan(GroupId group, Bytes bytes) {
   return online_.plan_all_reduce(group, bytes);
 }
 

@@ -43,9 +43,10 @@ class OnlineScheduler {
   /// Begin the periodic controller sync loop (idempotent).
   void start();
 
-  /// Select (Eq. 16) + update costs (Eq. 17) + return the resolved plan.
-  [[nodiscard]] coll::AllReducePlan plan_all_reduce(GroupId group,
-                                                    Bytes bytes);
+  /// Select (Eq. 16) + update costs (Eq. 17) + return the selected
+  /// policy's shared plan.
+  [[nodiscard]] std::shared_ptr<const coll::AllReducePlan> plan_all_reduce(
+      GroupId group, Bytes bytes);
 
   /// Read-only view of a group's policy cost table. Mutation goes through
   /// the named methods below so observers (tests, the obs layer, demos)
@@ -117,7 +118,8 @@ class HeroCommScheduler final : public coll::CommScheduler {
                              OnlineConfig config = {});
 
   GroupId register_group(std::vector<topo::NodeId> members) override;
-  coll::AllReducePlan all_reduce_plan(GroupId group, Bytes bytes) override;
+  std::shared_ptr<const coll::AllReducePlan> all_reduce_plan(
+      GroupId group, Bytes bytes) override;
   topo::Path unicast_path(topo::NodeId src, topo::NodeId dst) override;
   void start() override { online_.start(); }
   [[nodiscard]] std::uint64_t route_searches() const override {

@@ -449,8 +449,7 @@ void ClusterSim::run_prefill_stage(std::size_t stage_index) {
       simulator().schedule_in(0.0, advance);
       return;
     }
-    coll::AllReducePlan plan = scheduler_->all_reduce_plan(st.group, volume);
-    engine_->all_reduce(std::move(plan),
+    engine_->all_reduce(scheduler_->all_reduce_plan(st.group, volume), volume,
                         [advance](const coll::AllReduceResult&) {
                           advance();
                         });
@@ -561,9 +560,8 @@ void ClusterSim::start_decode_iteration() {
       }
       const Bytes volume =
           opts_.model.iteration_sync_volume(batch_size, stage.layers);
-      coll::AllReducePlan plan =
-          scheduler_->all_reduce_plan(stage.group, volume);
-      engine_->all_reduce(std::move(plan),
+      engine_->all_reduce(scheduler_->all_reduce_plan(stage.group, volume),
+                          volume,
                           [finish_piece](const coll::AllReduceResult&) {
                             finish_piece();
                           });

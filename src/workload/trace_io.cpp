@@ -39,17 +39,28 @@ Trace read_trace_csv(std::istream& in) {
     std::string cell;
     double fields[5] = {0, 0, 0, 0, 0};
     int parsed = 0;
-    while (parsed < 5 && std::getline(row, cell, ',')) {
+    while (std::getline(row, cell, ',')) {
+      // Legacy rows carry 3 fields; session-annotated rows carry 5
+      // (session_id, prefix_tokens).
+      if (parsed == 5) {
+        throw std::runtime_error(
+            strfmt("trace csv line {}: expected 3 or 5 fields", line_no));
+      }
+      // The whole cell must be the number: std::stod stops at the first
+      // character it cannot use, so check that only blanks follow.
+      std::size_t used = 0;
       try {
-        fields[parsed] = std::stod(cell);
+        fields[parsed] = std::stod(cell, &used);
       } catch (const std::exception&) {
+        used = 0;
+      }
+      if (used == 0 ||
+          cell.find_first_not_of(" \t", used) != std::string::npos) {
         throw std::runtime_error(
             strfmt("trace csv line {}: bad number '{}'", line_no, cell));
       }
       ++parsed;
     }
-    // Legacy rows carry 3 fields; session-annotated rows carry 5
-    // (session_id, prefix_tokens).
     if (parsed != 3 && parsed != 5) {
       throw std::runtime_error(
           strfmt("trace csv line {}: expected 3 or 5 fields", line_no));

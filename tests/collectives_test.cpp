@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "collectives/engine.hpp"
 #include "netsim/flownet.hpp"
@@ -44,6 +47,11 @@ struct Fixture {
     return nvlink ? nvlink_paths : ethernet_paths;
   }
 };
+
+/// A built plan, shared the way the schedulers hand plans to the engine.
+std::shared_ptr<const AllReducePlan> shared(AllReducePlan plan) {
+  return std::make_shared<const AllReducePlan>(std::move(plan));
+}
 
 /// Star: n GPUs on one access switch, optional PS.
 topo::Graph star_graph(int n, bool with_ps = false, int agg_slots = 64) {
@@ -123,12 +131,10 @@ TEST_P(RingSizeTest, EngineMatchesClosedForm) {
   const int p = GetParam();
   Fixture f(star_graph(p));
   const Bytes volume = 4.0 * units::MB;
-  AllReducePlan plan = make_ring_plan(f.graph.gpus(), volume, f.oracle());
-
   Time done = -1;
-  f.engine->all_reduce(std::move(plan), [&](const AllReduceResult& r) {
-    done = r.end;
-  });
+  f.engine->all_reduce(shared(make_ring_plan(f.graph.gpus(), f.oracle())),
+                       volume,
+                       [&](const AllReduceResult& r) { done = r.end; });
   f.simulator.run();
   // Every ring hop crosses the shared star switch: at any step, each of the
   // p uplinks carries one chunk up and one down; per-link both directions
@@ -144,15 +150,15 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RingSizeTest, ::testing::Values(2, 3, 4, 8));
 
 TEST(Engine, InaSyncPhases) {
   Fixture f(star_graph(3));
-  AllReducePlan plan = make_ina_plan(f.graph.gpus(), 1.0 * units::MB,
-                                     f.graph.find("sw"), Scheme::kInaSync,
-                                     f.oracle());
+  auto plan = shared(make_ina_plan(f.graph.gpus(), f.graph.find("sw"),
+                                   Scheme::kInaSync, f.oracle()));
   AllReduceResult result;
   bool done = false;
-  f.engine->all_reduce(std::move(plan), [&](const AllReduceResult& r) {
-    result = r;
-    done = true;
-  });
+  f.engine->all_reduce(std::move(plan), 1.0 * units::MB,
+                       [&](const AllReduceResult& r) {
+                         result = r;
+                         done = true;
+                       });
   f.simulator.run();
   ASSERT_TRUE(done);
   // Collection: all three 1MB flows in parallel on separate uplinks: 80us.
@@ -168,10 +174,9 @@ TEST(Engine, InaSyncPhases) {
 
 TEST(Engine, InaReleasesSlotsAfterOp) {
   Fixture f(star_graph(3));
-  AllReducePlan plan = make_ina_plan(f.graph.gpus(), 1.0 * units::MB,
-                                     f.graph.find("sw"), Scheme::kInaSync,
-                                     f.oracle());
-  f.engine->all_reduce(std::move(plan), nullptr);
+  f.engine->all_reduce(shared(make_ina_plan(f.graph.gpus(), f.graph.find("sw"),
+                                            Scheme::kInaSync, f.oracle())),
+                       1.0 * units::MB, nullptr);
   f.simulator.run();
   EXPECT_EQ(f.switches->agent(f.graph.find("sw")).slots_in_use(), 0u);
 }
@@ -183,15 +188,13 @@ TEST(Engine, InaSyncQueuesUnderSlotPressure) {
   std::vector<NodeId> g1{gpus[0], gpus[1]}, g2{gpus[2], gpus[3]};
   Time done1 = -1, done2 = -1;
   f.engine->all_reduce(
-      make_ina_plan(g1, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaSync, f.oracle(), topo::kInvalidNode,
-                    /*slots=*/32),
-      [&](const AllReduceResult& r) { done1 = r.end; });
+      shared(make_ina_plan(g1, f.graph.find("sw"), Scheme::kInaSync,
+                           f.oracle(), topo::kInvalidNode, /*slots=*/32)),
+      1.0 * units::MB, [&](const AllReduceResult& r) { done1 = r.end; });
   f.engine->all_reduce(
-      make_ina_plan(g2, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaSync, f.oracle(), topo::kInvalidNode,
-                    /*slots=*/32),
-      [&](const AllReduceResult& r) { done2 = r.end; });
+      shared(make_ina_plan(g2, f.graph.find("sw"), Scheme::kInaSync,
+                           f.oracle(), topo::kInvalidNode, /*slots=*/32)),
+      1.0 * units::MB, [&](const AllReduceResult& r) { done2 = r.end; });
   f.simulator.run();
   ASSERT_GT(done1, 0);
   ASSERT_GT(done2, 0);
@@ -205,14 +208,16 @@ TEST(Engine, InaAsyncFallsBackToPs) {
   std::vector<NodeId> g1{gpus[0], gpus[1]}, g2{gpus[2], gpus[3]};
   const NodeId ps = f.graph.find("ps");
   AllReduceResult r1, r2;
-  f.engine->all_reduce(
-      make_ina_plan(g1, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.oracle(), ps, /*slots=*/32),
-      [&](const AllReduceResult& r) { r1 = r; });
-  f.engine->all_reduce(
-      make_ina_plan(g2, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.oracle(), ps, /*slots=*/32),
-      [&](const AllReduceResult& r) { r2 = r; });
+  f.engine->all_reduce(shared(make_ina_plan(g1, f.graph.find("sw"),
+                                            Scheme::kInaAsync, f.oracle(), ps,
+                                            /*slots=*/32)),
+                       1.0 * units::MB,
+                       [&](const AllReduceResult& r) { r1 = r; });
+  f.engine->all_reduce(shared(make_ina_plan(g2, f.graph.find("sw"),
+                                            Scheme::kInaAsync, f.oracle(), ps,
+                                            /*slots=*/32)),
+                       1.0 * units::MB,
+                       [&](const AllReduceResult& r) { r2 = r; });
   f.simulator.run();
   EXPECT_FALSE(r1.used_fallback);
   EXPECT_TRUE(r2.used_fallback);
@@ -226,16 +231,16 @@ TEST(Engine, InaAsyncWithoutFallbackThrowsOnRejection) {
   Fixture f(star_graph(4, false, 40));
   const auto gpus = f.graph.gpus();
   f.engine->all_reduce(
-      make_ina_plan({gpus[0], gpus[1]}, 1.0 * units::MB, f.graph.find("sw"),
-                    Scheme::kInaAsync, f.oracle(), topo::kInvalidNode,
-                    /*slots=*/32),
-      nullptr);
+      shared(make_ina_plan({gpus[0], gpus[1]}, f.graph.find("sw"),
+                           Scheme::kInaAsync, f.oracle(), topo::kInvalidNode,
+                           /*slots=*/32)),
+      1.0 * units::MB, nullptr);
   EXPECT_THROW(
       f.engine->all_reduce(
-          make_ina_plan({gpus[2], gpus[3]}, 1.0 * units::MB,
-                        f.graph.find("sw"), Scheme::kInaAsync, f.oracle(),
-                        topo::kInvalidNode, /*slots=*/32),
-          nullptr),
+          shared(make_ina_plan({gpus[2], gpus[3]}, f.graph.find("sw"),
+                               Scheme::kInaAsync, f.oracle(),
+                               topo::kInvalidNode, /*slots=*/32)),
+          1.0 * units::MB, nullptr),
       std::invalid_argument);
 }
 
@@ -249,7 +254,7 @@ TEST(Engine, HierarchicalGroupsByServer) {
   members.insert(members.end(), by_server[1].begin(), by_server[1].end());
   const topo::PathOracle oracle(g);
   const AllReducePlan plan =
-      make_hierarchical_plan(members, 1.0 * units::MB, Scheme::kRing, oracle);
+      make_hierarchical_plan(members, Scheme::kRing, oracle);
   ASSERT_EQ(plan.local_groups.size(), 2u);
   EXPECT_EQ(plan.local_groups[0].size(), 4u);
   EXPECT_EQ(plan.wide_members.size(), 2u);
@@ -271,15 +276,15 @@ TEST(Engine, HierarchicalFasterThanFlatOnTestbed) {
   {
     Fixture f(g);
     f.engine->all_reduce(
-        make_hierarchical_plan(members, 16.0 * units::MB, Scheme::kRing,
-                               f.oracle()),
+        shared(make_hierarchical_plan(members, Scheme::kRing, f.oracle())),
+        16.0 * units::MB,
         [&](const AllReduceResult& r) { hier_done = r.latency(); });
     f.simulator.run();
   }
   {
     Fixture f(g);
     f.engine->all_reduce(
-        make_ring_plan(members, 16.0 * units::MB, f.oracle(false)),
+        shared(make_ring_plan(members, f.oracle(false))), 16.0 * units::MB,
         [&](const AllReduceResult& r) { flat_done = r.latency(); });
     f.simulator.run();
   }
@@ -350,7 +355,7 @@ TEST(Engine, HierarchicalInaIsSharded) {
   const topo::PathOracle oracle(g);
   const auto ranked = rank_aggregation_switches(oracle, members, 1);
   const AllReducePlan plan = make_hierarchical_plan(
-      members, 8.0 * units::MB, Scheme::kInaSync, oracle, ranked.front());
+      members, Scheme::kInaSync, oracle, ranked.front());
   ASSERT_EQ(plan.wide_members.size(), 8u);
   ASSERT_EQ(plan.wide_scale.size(), 8u);
   for (double scale : plan.wide_scale) EXPECT_DOUBLE_EQ(scale, 0.25);
@@ -370,17 +375,18 @@ TEST(Engine, ShardedInaFasterThanLeaderSizedTraffic) {
   const auto ranked = rank_aggregation_switches(f.oracle(), members, 1);
   Time sharded = -1;
   f.engine->all_reduce(
-      make_hierarchical_plan(members, 32.0 * units::MB, Scheme::kInaSync,
-                             f.oracle(), ranked.front()),
+      shared(make_hierarchical_plan(members, Scheme::kInaSync, f.oracle(),
+                                    ranked.front())),
+      32.0 * units::MB,
       [&](const AllReduceResult& r) { sharded = r.latency(); });
   f.simulator.run();
 
   Fixture f2(g);
   Time flat = -1;
   f2.engine->all_reduce(
-      make_ina_plan(members, 32.0 * units::MB, ranked.front(),
-                    Scheme::kInaSync, f2.oracle()),
-      [&](const AllReduceResult& r) { flat = r.latency(); });
+      shared(make_ina_plan(members, ranked.front(), Scheme::kInaSync,
+                           f2.oracle())),
+      32.0 * units::MB, [&](const AllReduceResult& r) { flat = r.latency(); });
   f2.simulator.run();
 
   ASSERT_GT(sharded, 0);
@@ -391,22 +397,148 @@ TEST(Engine, ShardedInaFasterThanLeaderSizedTraffic) {
 TEST(Engine, SingleMemberCompletesImmediately) {
   Fixture f(star_graph(2));
   bool done = false;
-  f.engine->all_reduce(
-      make_ring_plan({f.graph.gpus()[0]}, 1.0 * units::MB, f.oracle()),
-      [&](const AllReduceResult&) { done = true; });
+  f.engine->all_reduce(shared(make_ring_plan({f.graph.gpus()[0]}, f.oracle())),
+                       1.0 * units::MB,
+                       [&](const AllReduceResult&) { done = true; });
   f.simulator.run();
   EXPECT_TRUE(done);
 }
 
 TEST(Engine, OpsCompletedCounter) {
   Fixture f(star_graph(3));
+  const auto plan = shared(make_ring_plan(f.graph.gpus(), f.oracle()));
   for (int i = 0; i < 3; ++i) {
-    f.engine->all_reduce(
-        make_ring_plan(f.graph.gpus(), 1.0 * units::MB, f.oracle()),
-        nullptr);
+    f.engine->all_reduce(plan, 1.0 * units::MB, nullptr);
   }
   f.simulator.run();
   EXPECT_EQ(f.engine->ops_completed, 3u);
+}
+
+// --- engine: per-shape timing pins ---
+//
+// Bit-exact phase timestamps and scheduled-event counts of every engine
+// shape, so a change to flow or event order shows in the shape it touches
+// rather than only end to end.
+
+struct Pin {
+  double start, wide_start, collected, end;
+};
+
+void expect_pins(const Fixture& f, const std::vector<AllReduceResult>& got,
+                 const std::vector<Pin>& want, std::uint64_t events) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(raw(got[i].start), want[i].start) << "op " << i;
+    EXPECT_EQ(raw(got[i].wide_start), want[i].wide_start) << "op " << i;
+    EXPECT_EQ(raw(got[i].collected), want[i].collected) << "op " << i;
+    EXPECT_EQ(raw(got[i].end), want[i].end) << "op " << i;
+  }
+  EXPECT_EQ(f.simulator.scheduled_events(), events);
+}
+
+/// The GPUs of the testbed's first two servers, server by server.
+std::vector<NodeId> two_servers(const topo::Graph& g) {
+  const auto by_server = g.gpus_by_server();
+  std::vector<NodeId> members = by_server[0];
+  members.insert(members.end(), by_server[1].begin(), by_server[1].end());
+  return members;
+}
+
+struct PinRun {
+  Fixture f;
+  std::vector<AllReduceResult> results;
+
+  explicit PinRun(topo::Graph g) : f(std::move(g)) {}
+  void add(AllReducePlan plan, Bytes bytes) {
+    f.engine->all_reduce(shared(std::move(plan)), bytes,
+                         [this](const AllReduceResult& r) {
+                           results.push_back(r);
+                         });
+  }
+};
+
+TEST(EnginePins, FlatRing) {
+  PinRun run(star_graph(4));
+  run.add(make_ring_plan(run.f.graph.gpus(), run.f.oracle()),
+          4.0 * units::MB);
+  run.f.simulator.run();
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x0p+0, 0x1.f75104d551d69p-11, 0x1.f75104d551d69p-11}},
+              96);
+}
+
+TEST(EnginePins, FlatInaSync) {
+  PinRun run(star_graph(3));
+  run.add(make_ina_plan(run.f.graph.gpus(), run.f.graph.find("sw"),
+                        Scheme::kInaSync, run.f.oracle()),
+          1.0 * units::MB);
+  run.f.simulator.run();
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13}},
+              14);
+}
+
+TEST(EnginePins, InaSyncQueuedUnderSlotPressure) {
+  PinRun run(star_graph(4, false, 40));
+  const auto gpus = run.f.graph.gpus();
+  for (const std::vector<NodeId>& group :
+       {std::vector<NodeId>{gpus[0], gpus[1]},
+        std::vector<NodeId>{gpus[2], gpus[3]}}) {
+    run.add(make_ina_plan(group, run.f.graph.find("sw"), Scheme::kInaSync,
+                          run.f.oracle(), topo::kInvalidNode, /*slots=*/32),
+            1.0 * units::MB);
+  }
+  run.f.simulator.run();
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13},
+               {0x0p+0, 0x0p+0, 0x1.f969e3c968944p-13, 0x1.51a437824d4ccp-12}},
+              20);
+}
+
+TEST(EnginePins, InaAsyncFallsBackToPs) {
+  PinRun run(star_graph(4, /*with_ps=*/true, /*agg_slots=*/40));
+  const auto gpus = run.f.graph.gpus();
+  for (const std::vector<NodeId>& group :
+       {std::vector<NodeId>{gpus[0], gpus[1]},
+        std::vector<NodeId>{gpus[2], gpus[3]}}) {
+    run.add(make_ina_plan(group, run.f.graph.find("sw"), Scheme::kInaAsync,
+                          run.f.oracle(), run.f.graph.find("ps"),
+                          /*slots=*/32),
+            1.0 * units::MB);
+  }
+  run.f.simulator.run();
+  ASSERT_EQ(run.results.size(), 2u);
+  EXPECT_TRUE(run.results[1].used_fallback);
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13},
+               {0x0p+0, 0x0p+0, 0x1.f75104d551d6ap-13, 0x1.10a137f38c544p-11}},
+              31);
+}
+
+TEST(EnginePins, HierarchicalRingOnTestbed) {
+  PinRun run(topo::make_testbed());
+  run.add(make_hierarchical_plan(two_servers(run.f.graph), Scheme::kRing,
+                                 run.f.oracle()),
+          16.0 * units::MB);
+  run.f.simulator.run();
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x1.68b5cbff47736p-15, 0x1.55b4677b395c5p-9,
+                0x1.5943f75efff91p-9}},
+              124);
+}
+
+TEST(EnginePins, HierarchicalShardedIna) {
+  PinRun run(topo::make_testbed());
+  const std::vector<NodeId> members = two_servers(run.f.graph);
+  const auto ranked = rank_aggregation_switches(run.f.oracle(), members, 1);
+  run.add(make_hierarchical_plan(members, Scheme::kInaSync, run.f.oracle(),
+                                 ranked.front()),
+          32.0 * units::MB);
+  run.f.simulator.run();
+  expect_pins(run.f, run.results,
+              {{0x0p+0, 0x1.5c209246bf013p-14, 0x1.06ab14ec204f3p-9,
+                0x1.05ba9bb9761f8p-8}},
+              182);
 }
 
 // --- plan builders ---
@@ -414,7 +546,7 @@ TEST(Engine, OpsCompletedCounter) {
 TEST(PlanBuilders, RingPathsConnectSuccessiveMembers) {
   const topo::Graph g = star_graph(4);
   const topo::PathOracle oracle(g);
-  const AllReducePlan plan = make_ring_plan(g.gpus(), 1.0, oracle);
+  const AllReducePlan plan = make_ring_plan(g.gpus(), oracle);
   ASSERT_EQ(plan.ring_paths.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(plan.ring_paths[i].src(), plan.wide_members[i]);
@@ -443,12 +575,10 @@ TEST(PlanBuilders, UnreachablePairThrowsNamingBothNodes) {
       EXPECT_NE(what.find(to), std::string::npos) << what;
     }
   };
-  expect_unreachable([&] { return make_ring_plan({ga, gb}, 1.0, oracle); },
-                     "ga", "gb");
+  expect_unreachable([&] { return make_ring_plan({ga, gb}, oracle); }, "ga",
+                     "gb");
   expect_unreachable(
-      [&] {
-        return make_ina_plan({ga, gb}, 1.0, sw_a, Scheme::kInaSync, oracle);
-      },
+      [&] { return make_ina_plan({ga, gb}, sw_a, Scheme::kInaSync, oracle); },
       "gb", "sw_a");
 }
 
@@ -456,16 +586,86 @@ TEST(PlanBuilders, InaPlanValidation) {
   const topo::Graph g = star_graph(2);
   const topo::PathOracle oracle(g);
   EXPECT_THROW(
-      make_ina_plan(g.gpus(), 1.0, g.find("sw"), Scheme::kRing, oracle),
+      make_ina_plan(g.gpus(), g.find("sw"), Scheme::kRing, oracle),
       std::invalid_argument);
 }
 
 TEST(PlanBuilders, DirectNvlinkPathRequiresEdge) {
+  // One server whose two GPUs share only an Ethernet switch: the local
+  // ring has no NVLink edge, so the plan fails to build.
+  topo::Graph g;
+  const NodeId sw = g.add_switch("sw", NodeKind::kAccessSwitch, 64);
+  const NodeId ga = g.add_gpu("ga", GpuModel::kA100_40, 40 * units::GB, 0);
+  const NodeId gb = g.add_gpu("gb", GpuModel::kA100_40, 40 * units::GB, 0);
+  g.add_edge(ga, sw, LinkKind::kEthernet, 100 * units::Gbps, 0.0);
+  g.add_edge(gb, sw, LinkKind::kEthernet, 100 * units::Gbps, 0.0);
+  const topo::PathOracle oracle(g);
+  try {
+    (void)make_hierarchical_plan({ga, gb}, Scheme::kRing, oracle);
+    ADD_FAILURE() << "no throw for a server without NVLink";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ga"), std::string::npos) << what;
+    EXPECT_NE(what.find("gb"), std::string::npos) << what;
+  }
+}
+
+TEST(PlanBuilders, HierarchicalLocalLegsAreNvlinkEdges) {
   const topo::Graph g = topo::make_testbed();
   const auto by_server = g.gpus_by_server();
-  EXPECT_NO_THROW(direct_nvlink_path(g, by_server[0][0], by_server[0][1]));
-  EXPECT_THROW(direct_nvlink_path(g, by_server[0][0], by_server[1][0]),
-               std::invalid_argument);
+  std::vector<NodeId> members = by_server[0];
+  members.insert(members.end(), by_server[1].begin(), by_server[1].end());
+  members.push_back(by_server[2][0]);  // a single-GPU group
+  const topo::PathOracle oracle(g);
+  for (const Scheme scheme : {Scheme::kRing, Scheme::kInaSync}) {
+    const NodeId sw = scheme == Scheme::kRing
+                          ? topo::kInvalidNode
+                          : rank_aggregation_switches(oracle, members, 1)[0];
+    const AllReducePlan plan =
+        make_hierarchical_plan(members, scheme, oracle, sw);
+    ASSERT_EQ(plan.local_groups.size(), 3u);
+    ASSERT_EQ(plan.local_rings.size(), 3u);
+    auto expect_nvlink_edge = [&](const topo::Path& p, NodeId a, NodeId b) {
+      EXPECT_EQ(p.src(), a);
+      EXPECT_EQ(p.dst(), b);
+      ASSERT_EQ(p.hops(), 1u);
+      EXPECT_EQ(g.edge(p.edges[0]).kind, LinkKind::kNvLink);
+    };
+    std::size_t leg = 0;
+    for (std::size_t k = 0; k < plan.local_groups.size(); ++k) {
+      const std::vector<NodeId>& group = plan.local_groups[k];
+      const std::vector<topo::Path>& ring = plan.local_rings[k];
+      ASSERT_EQ(ring.size(), group.size() > 1 ? group.size() : 0u);
+      for (std::size_t i = 0; i < ring.size(); ++i) {
+        expect_nvlink_edge(ring[i], group[i], group[(i + 1) % group.size()]);
+      }
+      for (std::size_t i = 1; i < group.size(); ++i) {
+        ASSERT_LT(leg, plan.broadcast_legs.size());
+        expect_nvlink_edge(plan.broadcast_legs[leg++], group[0], group[i]);
+      }
+    }
+    EXPECT_EQ(leg, plan.broadcast_legs.size());
+  }
+}
+
+TEST(Engine, OpKeepsItsPlanAlive) {
+  // The caller drops its last reference before the run: the op still
+  // reads every phase's paths, and releases the plan when it finishes.
+  Fixture f(topo::make_testbed());
+  const auto by_server = f.graph.gpus_by_server();
+  std::vector<NodeId> members = by_server[0];
+  members.insert(members.end(), by_server[1].begin(), by_server[1].end());
+  const auto ranked = rank_aggregation_switches(f.oracle(), members, 1);
+  auto plan = shared(make_hierarchical_plan(members, Scheme::kInaSync,
+                                            f.oracle(), ranked.front()));
+  const std::weak_ptr<const AllReducePlan> watch = plan;
+  bool done = false;
+  f.engine->all_reduce(std::move(plan), 8.0 * units::MB,
+                       [&](const AllReduceResult&) { done = true; });
+  EXPECT_FALSE(watch.expired());
+  f.simulator.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(RankSwitches, PrefersNearestWithSlots) {

@@ -307,7 +307,7 @@ TEST(AdaptiveReaction, SlotExhaustionFallsBackToRingThenRepromotes) {
   const online::PolicyTable& table = sched.table(gid);
   std::vector<std::size_t> ina;
   for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.policy(i).plan.switch_node != topo::kInvalidNode) {
+    if (table.policy(i).plan->switch_node != topo::kInvalidNode) {
       ina.push_back(i);
     }
   }
@@ -338,7 +338,7 @@ TEST(AdaptiveReaction, SlotExhaustionFallsBackToRingThenRepromotes) {
     EXPECT_GE(table.policy(i).cost, 1.0) << table.policy(i).name;
   }
   const std::size_t during = table.select(bytes, sched.config());
-  EXPECT_EQ(table.policy(during).plan.switch_node, topo::kInvalidNode);
+  EXPECT_EQ(table.policy(during).plan->switch_node, topo::kInvalidNode);
 
   // After recovery the next controller tick re-syncs costs from (idle)
   // link measurements and the original choice is re-promoted.
@@ -374,9 +374,9 @@ TEST(AdaptiveReaction, StaggeredSeizureLeavesHealthySwitchSelectable) {
   bool healthy_ina_cheap = false;
   for (std::size_t i = 0; i < table.size(); ++i) {
     const online::Policy& p = table.policy(i);
-    if (p.plan.switch_node == sw0) {
+    if (p.plan->switch_node == sw0) {
       EXPECT_GE(p.cost, 1.0) << p.name;  // seized switch surcharged
-    } else if (p.plan.switch_node != topo::kInvalidNode) {
+    } else if (p.plan->switch_node != topo::kInvalidNode) {
       healthy_ina_cheap = healthy_ina_cheap || p.cost < 1.0;
     }
   }
@@ -384,7 +384,7 @@ TEST(AdaptiveReaction, StaggeredSeizureLeavesHealthySwitchSelectable) {
   // in-network aggregation instead of paying the ring detour.
   EXPECT_TRUE(healthy_ina_cheap);
   const std::size_t during = table.select(16 * units::MB, sched.config());
-  EXPECT_NE(table.policy(during).plan.switch_node, sw0);
+  EXPECT_NE(table.policy(during).plan->switch_node, sw0);
 }
 
 // --- controller sync loss with exponential backoff ---

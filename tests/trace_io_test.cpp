@@ -63,6 +63,20 @@ TEST(TraceIo, RejectsMalformedRows) {
     std::stringstream bad(row);
     EXPECT_THROW(wl::read_trace_csv(bad), std::runtime_error) << row;
   }
+  // A cell is one number and nothing else, and a row has no sixth cell.
+  for (const char* row : {"0.2,100x,10abc\n", "0.2,100,10x\n",
+                          "0.2 s,100,10\n", "0.2,100,10,1,5,junk\n",
+                          "0.2,100,10,1,5,6\n"}) {
+    std::stringstream bad(row);
+    EXPECT_THROW(wl::read_trace_csv(bad), std::runtime_error) << row;
+  }
+  // Blanks around a number are fine.
+  std::stringstream spaced("0.1, 100 ,10\n0.2,\t50\t, 5 , 1 ,0\n");
+  const wl::Trace trimmed = wl::read_trace_csv(spaced);
+  ASSERT_EQ(trimmed.size(), 2u);
+  EXPECT_EQ(trimmed[0].input_tokens, 100u);
+  EXPECT_EQ(trimmed[1].input_tokens, 50u);
+  EXPECT_EQ(trimmed[1].session_id, 1u);
   std::stringstream largest("0.2,4294967295,10,4294967295,7\n");
   const wl::Trace kept = wl::read_trace_csv(largest);
   ASSERT_EQ(kept.size(), 1u);
