@@ -2,13 +2,17 @@
 // second buys.
 //
 // Replays the repo's standard scenarios — the quickstart chatbot testbed,
-// the chaos link-flap plan, and the 4/8/16-instance fleet — through the
-// experiment driver and reports, per scenario:
+// the chaos link-flap plan, and the 4/8/16/32/64-instance fleet — through
+// run_experiment / run_fleet_experiment and reports, per scenario:
 //   * simulated-seconds-per-wall-second (the headline),
 //   * events executed per wall second,
 //   * how much max-min work the incremental flow-network engine avoided
 //     (flows actually re-solved vs the full-solve baseline's would-be work),
-//   * the peak number of live calendar entries (peak_pending_events).
+//   * the peak number of live calendar entries (peak_pending_events),
+//   * for the fleets, the planners' single-source Dijkstra runs
+//     (plan_route_solves, summed over the instances' PlanResults),
+// and the wall-time ratio of the 64- to the 32-instance fleet (how planning
+// and serving cost grows per doubling; reported, never gated).
 // Deterministic outputs (simulated seconds, event counts, route searches,
 // solver counters) are written to BENCH_simspeed.json; wall-clock-derived
 // keys carry a `wall_` prefix and solver-mode-dependent keys a `solver_`
@@ -45,6 +49,7 @@ ExperimentConfig base_config() {
 
 struct Outcome {
   SimStats stats;
+  std::size_t route_solves = 0;  ///< planner Dijkstra runs (fleets only)
   std::size_t requests = 0;
   double wall_seconds = 0.0;
   bool ok = false;
@@ -96,12 +101,18 @@ Outcome run_fleet(std::size_t instances) {
   cfg.fleet.policy = serve::RouterPolicy::kHeroServe;
   cfg.workload.rate = 1.15 * static_cast<double>(instances);
   cfg.workload.count = scaled(60 * instances);
-  return timed(cfg.workload.count, [&](SimStats& stats) {
+  std::size_t route_solves = 0;
+  Outcome out = timed(cfg.workload.count, [&](SimStats& stats) {
     const FleetExperimentResult r =
         run_fleet_experiment(SystemKind::kHeroServe, cfg);
     stats = r.sim_stats;
+    for (const planner::PlanResult& p : r.plan.instances) {
+      route_solves += p.route_solves;
+    }
     return r.ok();
   });
+  out.route_solves = route_solves;
+  return out;
 }
 
 struct Scenario {
@@ -116,6 +127,8 @@ const Scenario kScenarios[] = {
     {"fleet4", [] { return run_fleet(4); }, true},
     {"fleet8", [] { return run_fleet(8); }, true},
     {"fleet16", [] { return run_fleet(16); }, true},
+    {"fleet32", [] { return run_fleet(32); }, true},
+    {"fleet64", [] { return run_fleet(64); }, true},
 };
 
 std::map<std::string, Outcome> g_outcomes;
@@ -150,6 +163,16 @@ SIMSPEED(1, chaos);
 SIMSPEED(2, fleet4);
 SIMSPEED(3, fleet8);
 SIMSPEED(4, fleet16);
+SIMSPEED(5, fleet32);
+SIMSPEED(6, fleet64);
+
+/// Wall time of fleet64 over fleet32 (0 when either run failed).
+double doubling_ratio() {
+  const Outcome& f32 = g_outcomes["fleet32"];
+  const Outcome& f64 = g_outcomes["fleet64"];
+  if (!f32.ok || !f64.ok || f32.wall_seconds <= 0) return 0.0;
+  return f64.wall_seconds / f32.wall_seconds;
+}
 
 void print_table() {
   hero::bench::FigureTable table(
@@ -173,6 +196,7 @@ void print_table() {
          fmt_double(100.0 * solves_avoided(o.stats), 1) + "%"});
   }
   table.print();
+  std::printf("fleet32 -> fleet64 wall ratio: %.2f\n", doubling_ratio());
 }
 
 void write_json() {
@@ -187,7 +211,9 @@ void write_json() {
         .integer("events_scheduled", o.stats.events_scheduled)
         .integer("events_cancelled", o.stats.events_cancelled)
         .integer("peak_pending_events", o.stats.peak_pending_events)
-        .integer("route_searches", o.stats.route_searches)
+        .integer("route_searches", o.stats.route_searches);
+    if (s.fleet) row.integer("plan_route_solves", o.route_solves);
+    row
         .integer("solver_reallocations", o.stats.flownet.reallocations)
         .integer("solver_solves", o.stats.flownet.solves)
         .integer("solver_flows_solved", o.stats.flownet.flows_solved)
@@ -197,6 +223,9 @@ void write_json() {
         .num("wall_sim_per_wall",
              raw(o.stats.sim_seconds) /
                  (o.wall_seconds > 0 ? o.wall_seconds : 1e-9));
+    if (std::string(s.name) == "fleet64") {
+      row.num("wall_doubling_ratio", doubling_ratio());
+    }
   }
   json.write("BENCH_simspeed.json");
 }

@@ -36,7 +36,8 @@ namespace {
 /// Fleet mode (--instances N > 1): plan N replicas on a rack-scale fleet
 /// cluster and serve the trace behind the configured router.
 int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
-              double rate, std::size_t requests) {
+              hero::serve::RouterPolicy policy, double rate,
+              std::size_t requests) {
   using namespace hero;
   topo::FleetClusterOptions fabric;
   // One rack per instance (min 4) keeps the planner packing comfortable
@@ -45,16 +46,7 @@ int run_fleet(const hero::cli::Options& opts, hero::ExperimentConfig cfg,
       opts.instances > 4 ? opts.instances : 4);
   cfg.topology = topo::make_fleet_cluster(fabric);
   cfg.fleet.instances = opts.instances;
-  cfg.fleet.policy = serve::RouterPolicy::kHeroServe;
-  if (!opts.router.empty()) {
-    const auto policy = serve::parse_router_policy(opts.router);
-    if (!policy) {
-      std::fprintf(stderr, "unknown router policy: %s\n",
-                   opts.router.c_str());
-      return 1;
-    }
-    cfg.fleet.policy = *policy;
-  }
+  cfg.fleet.policy = policy;
 
   std::printf(
       "HeroServe quickstart (fleet): OPT-66B x %zu instances, router = %s\n",
@@ -123,6 +115,15 @@ int run(int argc, char** argv) {
   if (requests == 0) {
     throw std::invalid_argument("requests must be at least 1");
   }
+  // Checked on every run, although only fleet mode dispatches through it.
+  serve::RouterPolicy policy = serve::RouterPolicy::kHeroServe;
+  if (!opts.router.empty()) {
+    const auto parsed = serve::parse_router_policy(opts.router);
+    if (!parsed) {
+      throw std::invalid_argument("unknown router policy: " + opts.router);
+    }
+    policy = *parsed;
+  }
 
   ExperimentConfig cfg;
   // --full-solve swaps the incremental max-min engine for the whole-fabric
@@ -143,7 +144,9 @@ int run(int argc, char** argv) {
                 opts.faults_path.c_str(), cfg.fault_plan.events.size());
   }
 
-  if (opts.instances > 1) return run_fleet(opts, cfg, rate, requests);
+  if (opts.instances > 1) {
+    return run_fleet(opts, cfg, policy, rate, requests);
+  }
 
   std::printf("HeroServe quickstart: OPT-66B chatbot on the Fig. 6 testbed\n");
   std::printf("rate = %.2f req/s, %zu requests, seed = %llu\n\n", rate,

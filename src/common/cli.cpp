@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,19 @@ namespace {
 [[noreturn]] void usage_error(const char* usage, const char* flag) {
   std::fprintf(stderr, "missing value for %s\nusage: %s\n", flag, usage);
   std::exit(1);
+}
+
+/// parse_uint for a flag value; a bad value ends the process like an
+/// exception escaping guarded_main would (bench mains are not guarded).
+std::uint64_t flag_uint(const char* text, const char* flag,
+                        std::uint64_t max) {
+  try {
+    return parse_uint(text, flag, max);
+  } catch (const std::invalid_argument& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace
@@ -30,7 +44,8 @@ Options parse_args(int& argc, char** argv, const char* usage) {
       std::printf("usage: %s\n", usage);
       std::exit(0);
     } else if (std::strcmp(a, "--seed") == 0) {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(value("--seed")));
+      opts.seed = flag_uint(value("--seed"), "--seed",
+                            std::numeric_limits<std::uint64_t>::max());
       opts.seed_given = true;
     } else if (std::strcmp(a, "--faults") == 0) {
       opts.faults_path = value("--faults");
@@ -38,7 +53,8 @@ Options parse_args(int& argc, char** argv, const char* usage) {
       opts.trace_path = value("--trace");
     } else if (std::strcmp(a, "--instances") == 0) {
       opts.instances = static_cast<std::size_t>(
-          std::atoll(value("--instances")));
+          flag_uint(value("--instances"), "--instances",
+                    std::numeric_limits<std::size_t>::max()));
       if (opts.instances == 0) opts.instances = 1;
     } else if (std::strcmp(a, "--router") == 0) {
       opts.router = value("--router");
@@ -83,10 +99,28 @@ double positional_double(const Options& opts, std::size_t i,
   return value;
 }
 
+std::uint64_t parse_uint(const std::string& text, const std::string& what,
+                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && ptr == end && value > max)) {
+    throw std::invalid_argument(what + ": '" + text + "' is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(what + ": '" + text +
+                                "' is not a non-negative integer");
+  }
+  return value;
+}
+
 std::size_t positional_size(const Options& opts, std::size_t i,
                             std::size_t fallback) {
   if (i >= opts.positional.size()) return fallback;
-  return static_cast<std::size_t>(std::atoll(opts.positional[i].c_str()));
+  return static_cast<std::size_t>(
+      parse_uint(opts.positional[i], "argument " + std::to_string(i + 1),
+                 std::numeric_limits<std::size_t>::max()));
 }
 
 std::string positional_str(const Options& opts, std::size_t i,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ struct Options {
 
 /// Parse and strip the shared flags from argv. On --help prints `usage`
 /// and exits 0; on a flag missing its value prints `usage` to stderr and
-/// exits 1.
+/// exits 1; on a bad --seed or --instances value (see parse_uint) prints
+/// one `error:` line to stderr and exits 2.
 [[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage);
 
 /// Run `body` as a binary's main: a std::exception escaping it prints one
@@ -45,9 +47,18 @@ struct Options {
 [[nodiscard]] int guarded_main(int argc, char** argv,
                                int (*body)(int, char**));
 
+/// `text` as a whole non-negative integer no larger than `max`. Throws
+/// std::invalid_argument naming `what` on anything else: trailing text
+/// ("10abc"), a sign ("-5"), a fraction ("1.5"), an empty string or a value
+/// out of range.
+[[nodiscard]] std::uint64_t parse_uint(
+    const std::string& text, const std::string& what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
 /// Positional accessors with defaults (index past the end -> fallback).
 /// positional_double throws std::invalid_argument when the text is not
-/// entirely a number ("fast", "2x").
+/// entirely a number ("fast", "2x"); positional_size when it is not a
+/// whole size_t (parse_uint).
 [[nodiscard]] double positional_double(const Options& opts, std::size_t i,
                                        double fallback);
 [[nodiscard]] std::size_t positional_size(const Options& opts, std::size_t i,

@@ -1,6 +1,7 @@
 #include "online/policy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -49,6 +50,27 @@ PolicyTable::PolicyTable(std::vector<Policy> policies,
       }
     }
   }
+  for (const Policy& p : policies_) {
+    read_edges_.insert(read_edges_.end(), p.edges.begin(), p.edges.end());
+  }
+  std::sort(read_edges_.begin(), read_edges_.end());
+  read_edges_.erase(std::unique(read_edges_.begin(), read_edges_.end()),
+                    read_edges_.end());
+  for (const Policy& p : policies_) {
+    std::vector<std::size_t>& index = read_index_.emplace_back();
+    for (topo::EdgeId e : p.edges) {
+      index.push_back(static_cast<std::size_t>(
+          std::lower_bound(read_edges_.begin(), read_edges_.end(), e) -
+          read_edges_.begin()));
+    }
+  }
+  util_.assign(read_edges_.size(), 0.0);
+  max_util_.assign(policies_.size(), 0.0);
+  edge_weight_.resize(policies_.size());
+  for (std::size_t c = 0; c < policies_.size(); ++c) {
+    edge_weight_[c].resize(policies_[c].edges.size());
+  }
+  ratio_.assign(policies_.size(), std::vector<double>(policies_.size(), 0));
   // Penalties start at the static sharing ratios computed from capacities.
   penalty_.assign(policies_.size(), std::vector<double>(policies_.size(), 0));
   update_penalties(nullptr, OnlineConfig{});
@@ -128,39 +150,72 @@ void PolicyTable::apply_selection(std::size_t selected, Bytes data,
 
 void PolicyTable::update_penalties(const net::FlowNetwork* net,
                                    const OnlineConfig& cfg) {
-  // Weight of an edge inside the sharing ratio: the monitored busy
-  // bandwidth when measurements exist (B(e*) "monitored by GPUs and
-  // programmable switches"), otherwise static capacity.
-  auto edge_weight = [&](topo::EdgeId e) -> Bandwidth {
-    const Bandwidth cap = graph_->edge(e).capacity;
-    if (net != nullptr) {
-      // Busy bandwidth, floored so idle shared links still register.
-      return std::max(net->edge_utilization(e), 0.05) * cap;
+  if (net != nullptr) {
+    read_network(*net);
+  } else {
+    // No measurements: weigh each edge by its static capacity.
+    for (std::size_t c = 0; c < policies_.size(); ++c) {
+      const std::vector<topo::EdgeId>& edges = policies_[c].edges;
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        edge_weight_[c][i] = graph_->edge(edges[i]).capacity;
+      }
     }
-    return cap;
-  };
+    derive_ratios();
+    measured_ = false;  // ratio_ no longer follows util_
+  }
+  step_penalties(cfg);
+}
 
-  // The weights do not depend on the selected policy: read them once per
-  // call. Each policy's total is summed in edge order, so every ratio is
-  // bitwise the one a per-(sel, other) sum would give.
-  edge_weight_.resize(policies_.size());
-  weight_total_.assign(policies_.size(), 0.0);
-  for (std::size_t other = 0; other < policies_.size(); ++other) {
-    const std::vector<topo::EdgeId>& edges = policies_[other].edges;
-    std::vector<Bandwidth>& weights = edge_weight_[other];
-    weights.resize(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      weights[i] = edge_weight(edges[i]);
-      weight_total_[other] += weights[i];
+void PolicyTable::sync(const net::FlowNetwork& net, const OnlineConfig& cfg) {
+  read_network(net);
+  // The reset also undoes every Eq. 17 bump and switch-health surcharge
+  // applied since the last sync.
+  for (std::size_t c = 0; c < policies_.size(); ++c) {
+    policies_[c].cost = max_util_[c];
+  }
+  step_penalties(cfg);
+}
+
+void PolicyTable::read_network(const net::FlowNetwork& net) {
+  bool changed = !measured_;
+  for (std::size_t k = 0; k < read_edges_.size(); ++k) {
+    const double u = net.edge_utilization(read_edges_[k]);
+    if (std::bit_cast<std::uint64_t>(u) !=
+        std::bit_cast<std::uint64_t>(util_[k])) {
+      util_[k] = u;
+      changed = true;
     }
   }
+  if (!changed) return;
+  measured_ = true;
+  for (std::size_t c = 0; c < policies_.size(); ++c) {
+    const std::vector<topo::EdgeId>& edges = policies_[c].edges;
+    const std::vector<std::size_t>& index = read_index_[c];
+    double max_util = 0.0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const double u = util_[index[i]];
+      max_util = std::max(max_util, u);
+      // Weight of an edge inside the sharing ratio: the monitored busy
+      // bandwidth (B(e*) "monitored by GPUs and programmable switches"),
+      // floored so idle shared links still register.
+      edge_weight_[c][i] =
+          std::max(u, 0.05) * graph_->edge(edges[i]).capacity;
+    }
+    max_util_[c] = max_util;
+  }
+  derive_ratios();
+}
 
+void PolicyTable::derive_ratios() {
+  // Each policy's total is summed in edge order, so every ratio is bitwise
+  // the one a per-(sel, other) sum would give.
+  weight_total_.assign(policies_.size(), 0.0);
+  for (std::size_t other = 0; other < policies_.size(); ++other) {
+    for (Bandwidth w : edge_weight_[other]) weight_total_[other] += w;
+  }
   for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
     for (std::size_t other = 0; other < policies_.size(); ++other) {
-      if (other == sel) {
-        penalty_[sel][other] = 1.0;
-        continue;
-      }
+      if (other == sel) continue;
       const std::vector<Bandwidth>& weights = edge_weight_[other];
       const std::vector<bool>& in_sel = shared_[sel][other];
       Bandwidth shared = 0.0;
@@ -168,25 +223,26 @@ void PolicyTable::update_penalties(const net::FlowNetwork* net,
         if (in_sel[i]) shared += weights[i];
       }
       const Bandwidth total = weight_total_[other];
-      const double ratio = total > 0 ? shared / total : 0.0;
-      penalty_[sel][other] =
-          (1.0 - cfg.gamma) * penalty_[sel][other] + cfg.gamma * ratio;
+      ratio_[sel][other] = total > 0 ? shared / total : 0.0;
+    }
+  }
+}
+
+void PolicyTable::step_penalties(const OnlineConfig& cfg) {
+  for (std::size_t sel = 0; sel < policies_.size(); ++sel) {
+    for (std::size_t other = 0; other < policies_.size(); ++other) {
+      if (other == sel) {
+        penalty_[sel][other] = 1.0;
+        continue;
+      }
+      penalty_[sel][other] = (1.0 - cfg.gamma) * penalty_[sel][other] +
+                             cfg.gamma * ratio_[sel][other];
       // Eq. 18 sharing ratios are convex combinations of values in [0,1].
       HERO_INVARIANT(penalty_[sel][other] >= 0.0 &&
                          penalty_[sel][other] <= 1.0 + 1e-12,
                      "penalty f[{}][{}] = {}", sel, other,
                      penalty_[sel][other]);
     }
-  }
-}
-
-void PolicyTable::sync_costs_from_network(const net::FlowNetwork& net) {
-  for (Policy& p : policies_) {
-    double max_util = 0.0;
-    for (topo::EdgeId e : p.edges) {
-      max_util = std::max(max_util, net.edge_utilization(e));
-    }
-    p.cost = max_util;
   }
 }
 

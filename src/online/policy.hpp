@@ -87,9 +87,13 @@ class PolicyTable {
   /// no network measurements are available).
   void update_penalties(const net::FlowNetwork* net, const OnlineConfig& cfg);
 
-  /// Controller recalibration: set each b_c to the measured maximum link
-  /// utilization over the policy's edges.
-  void sync_costs_from_network(const net::FlowNetwork& net);
+  /// One controller sync (SIV): set each b_c to the measured maximum link
+  /// utilization over the policy's edges, then take one Eq. 18 step. Every
+  /// distinct edge's utilization is read once; when all readings are
+  /// bitwise the previous ones, the maxima and sharing ratios derived from
+  /// them are reused. The cost reset and the smoothing step run every call,
+  /// so costs and penalties are bit-identical to recomputing everything.
+  void sync(const net::FlowNetwork& net, const OnlineConfig& cfg);
 
   [[nodiscard]] double penalty(std::size_t selected, std::size_t other) const {
     return penalty_.at(selected).at(other);
@@ -102,10 +106,29 @@ class PolicyTable {
   /// shared_[c*][c][i]: whether edge i of policy c is also an edge of c*
   /// (the c* ∩ c of Eq. 18), fixed when the table is built.
   std::vector<std::vector<std::vector<bool>>> shared_;
-  /// update_penalties scratch: B(e) of each policy's edges, read once per
-  /// call, and each policy's sum of them (the Eq. 18 denominator).
+  /// B(e) of each policy's edges, in edge order, and each policy's sum of
+  /// them (the Eq. 18 denominator); ratio_[c*][c] is the W_{(c*,c)} they
+  /// give. Filled by derive_ratios().
   std::vector<std::vector<Bandwidth>> edge_weight_;
   std::vector<Bandwidth> weight_total_;
+  std::vector<std::vector<double>> ratio_;
+  /// Network readings: the distinct edges of all policies (ascending),
+  /// where each policy's edges sit among them, the last utilization read
+  /// per edge, and each policy's maximum of those readings. `measured_`
+  /// says util_, max_util_ and ratio_ all derive from the last reading.
+  std::vector<topo::EdgeId> read_edges_;
+  std::vector<std::vector<std::size_t>> read_index_;
+  std::vector<double> util_;
+  std::vector<double> max_util_;
+  bool measured_ = false;
+
+  /// Re-read every distinct edge's utilization; re-derive max_util_ and
+  /// ratio_ only when a reading changed (bitwise) since the last one.
+  void read_network(const net::FlowNetwork& net);
+  /// ratio_ from edge_weight_ (which the caller has filled).
+  void derive_ratios();
+  /// The Eq. 18 EWMA step of every penalty toward ratio_.
+  void step_penalties(const OnlineConfig& cfg);
 };
 
 }  // namespace hero::online

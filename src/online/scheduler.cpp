@@ -103,8 +103,7 @@ void OnlineScheduler::run_sync() {
   //  link utilization metrics. These statistics are then used to update the
   //  cost parameters in the online scheduling process." (SIV)
   for (GroupId g = 0; g < tables_.size(); ++g) {
-    tables_[g]->sync_costs_from_network(*network_);
-    tables_[g]->update_penalties(network_, config_);
+    tables_[g]->sync(*network_, config_);
     if (switches_ != nullptr) apply_switch_health(g);
   }
 }

@@ -1,6 +1,7 @@
 #include "planner/planner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -28,6 +29,12 @@ topo::PathConstraints constraints_for(bool heterogeneous) {
 struct NoRoute : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+[[noreturn]] void throw_no_route(const topo::Graph& g, topo::NodeId src,
+                                 topo::NodeId dst) {
+  throw NoRoute("no route between " + g.node(src).name + " and " +
+                g.node(dst).name);
+}
 
 /// Reference GPU for the fitted latency model.
 const gpu::GpuSpec& reference_spec() {
@@ -117,16 +124,16 @@ OfflinePlanner::OfflinePlanner(PlannerInputs inputs) : in_(std::move(inputs)) {
 
 topo::Path OfflinePlanner::route(topo::NodeId src, topo::NodeId dst) const {
   std::optional<topo::Path> p = paths_->path(src, dst);
-  if (!p) {
-    throw NoRoute("no route between " + in_.graph->node(src).name + " and " +
-                  in_.graph->node(dst).name);
-  }
+  if (!p) throw_no_route(*in_.graph, src, dst);
   return *std::move(p);
 }
 
 Time OfflinePlanner::route_latency(topo::NodeId src, topo::NodeId dst,
                                    Bytes bytes) const {
-  return route(src, dst).latency(*in_.graph, bytes);
+  // Read off src's Dijkstra tree: no Path is built for a D_(i,j) entry.
+  const Time latency = paths_->latency(src, dst, bytes);
+  if (std::isinf(raw(latency))) throw_no_route(*in_.graph, src, dst);
+  return latency;
 }
 
 std::vector<CandidateConfig> OfflinePlanner::generate_candidates() const {
@@ -623,6 +630,7 @@ PlanResult OfflinePlanner::plan() {
   // once plus perturb_rounds random-swap rounds, for both clusters.
   best.solve_work_units =
       best.candidates_evaluated * 2 * (1 + in_.perturb_rounds);
+  best.route_solves = paths_->sources_solved() + oracle_->sources_solved();
   return best;
 }
 

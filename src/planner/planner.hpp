@@ -140,6 +140,9 @@ struct PlanResult {
   std::size_t candidates_evaluated = 0;
   std::size_t perturbation_swaps = 0;
   std::size_t solve_work_units = 0;  ///< candidates * (1 + perturb rounds)
+  /// Single-source Dijkstra runs behind this plan: the sources_solved() of
+  /// the planner's two PathOracles (planning paths + switch election).
+  std::size_t route_solves = 0;
 };
 
 /// The KV pairing rule: GPU `i` of a `src`-GPU cluster sends its KV shard
@@ -181,8 +184,9 @@ class OfflinePlanner {
   /// cannot be merged without changing plans.
   std::optional<topo::PathOracle> oracle_;
 
-  /// Planning route src -> dst; throws when the pair has no route, which
-  /// plan() turns into an infeasible candidate naming both nodes.
+  /// Planning route src -> dst and its Eq. 10 latency; both throw when the
+  /// pair has no route, which plan() turns into an infeasible candidate
+  /// naming both nodes.
   [[nodiscard]] topo::Path route(topo::NodeId src, topo::NodeId dst) const;
   [[nodiscard]] Time route_latency(topo::NodeId src, topo::NodeId dst,
                                    Bytes bytes) const;

@@ -240,12 +240,19 @@ Time Router::stream_quote(std::size_t from, std::size_t to,
   // its own flow to the paired destination GPU (planner::kv_peer, the
   // same mapping every KV stream in the simulator uses). The quote is the
   // slowest shard at live admission rates.
+  auto [it, fresh] = stream_routes_.try_emplace({from, to});
+  std::vector<std::optional<topo::Path>>& routes = it->second;
+  if (fresh) {
+    routes.reserve(sdec.size());
+    for (std::size_t i = 0; i < sdec.size(); ++i) {
+      const std::size_t j = planner::kv_peer(i, sdec.size(), ddec.size());
+      routes.push_back(
+          topo::shortest_path(network_->graph(), sdec[i], ddec[j]));
+    }
+  }
   const Bytes per_src = total / static_cast<double>(sdec.size());
   Time worst = 0.0;
-  for (std::size_t i = 0; i < sdec.size(); ++i) {
-    const std::size_t j = planner::kv_peer(i, sdec.size(), ddec.size());
-    const auto path = topo::shortest_path(network_->graph(), sdec[i],
-                                          ddec[j]);
+  for (const std::optional<topo::Path>& path : routes) {
     if (!path) return std::numeric_limits<Time>::infinity();
     if (path->edges.empty()) continue;  // same GPU (cannot happen cross-instance)
     const net::PathEstimate est = network_->estimate_path(*path);

@@ -38,6 +38,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -163,6 +166,10 @@ class Router {
   [[nodiscard]] std::uint64_t dispatched_total() const {
     return dispatched_total_;
   }
+  /// (from, to) instance pairs whose prefix-stream routes are memoized.
+  [[nodiscard]] std::size_t stream_routes_memoized() const {
+    return stream_routes_.size();
+  }
 
  private:
   enum class State : std::uint8_t { kActive, kDraining, kRemoved };
@@ -181,6 +188,14 @@ class Router {
   std::vector<std::uint64_t> dispatched_;
   std::uint64_t dispatched_total_ = 0;
   std::size_t next_rr_ = 0;
+  /// Prefix-stream shard routes per (from, to) instance pair, searched on
+  /// the pair's first quote: entry i carries decode GPU i of `from` to its
+  /// kv_peer on `to` (nullopt when unreachable). The graph is fixed for the
+  /// run and an instance's GPUs for its life, so the routes never go
+  /// stale; only the live link state is probed per quote.
+  mutable std::map<std::pair<std::size_t, std::size_t>,
+                   std::vector<std::optional<topo::Path>>>
+      stream_routes_;
 
   [[nodiscard]] double cost_for(const Instance& inst,
                                 const InstanceProbe& probe,

@@ -66,7 +66,9 @@ NodeId Graph::add_switch(std::string name, NodeKind kind,
   nodes_.push_back(std::move(n));
   adjacency_.emplace_back();
   ++version_;
-  return static_cast<NodeId>(nodes_.size() - 1);
+  const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
+  switches_.push_back(id);
+  return id;
 }
 
 EdgeId Graph::add_edge(NodeId a, NodeId b, LinkKind kind, Bandwidth capacity,
@@ -95,14 +97,6 @@ std::vector<NodeId> Graph::gpus() const {
   std::vector<NodeId> out;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].kind == NodeKind::kGpu) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<NodeId> Graph::switches() const {
-  std::vector<NodeId> out;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (is_switch(i)) out.push_back(i);
   }
   return out;
 }

@@ -59,6 +59,8 @@ struct GpuInfo {
 };
 
 struct Node {
+  /// Fixed when the node is added: switches() is filled by add_switch(), so
+  /// writing a different kind through the non-const node() is not allowed.
   NodeKind kind = NodeKind::kGpu;
   std::string name;
   GpuInfo gpu;                 ///< valid iff kind == kGpu
@@ -116,8 +118,11 @@ class Graph {
 
   /// All GPU node ids, in insertion order.
   [[nodiscard]] std::vector<NodeId> gpus() const;
-  /// All switch node ids (access + core).
-  [[nodiscard]] std::vector<NodeId> switches() const;
+  /// All switch node ids (access + core), in insertion order. Filled by
+  /// add_switch(), so the list is the same object on every call.
+  [[nodiscard]] const std::vector<NodeId>& switches() const {
+    return switches_;
+  }
   /// GPUs grouped by server id; index = server id.
   [[nodiscard]] std::vector<std::vector<NodeId>> gpus_by_server() const;
 
@@ -136,6 +141,7 @@ class Graph {
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<Adjacency>> adjacency_;
+  std::vector<NodeId> switches_;
   std::uint64_t version_ = 0;
 };
 

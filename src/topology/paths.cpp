@@ -91,16 +91,24 @@ SearchResult dijkstra(const Graph& g, NodeId src, const PathOptions& opts,
   return r;
 }
 
-std::optional<Path> extract_path(const SearchResult& r, NodeId src,
-                                 NodeId dst) {
-  const std::uint8_t best_via =
+/// The arrival state (NVLink or not) that reaches dst cheapest; nullopt when
+/// dst is unreachable under the constraints.
+std::optional<std::uint8_t> best_via(const SearchResult& r, NodeId dst) {
+  const std::uint8_t via =
       r.dist[dst][0] <= r.dist[dst][1] ? std::uint8_t{0} : std::uint8_t{1};
-  if (r.dist[dst][best_via] == std::numeric_limits<Time>::infinity()) {
+  if (r.dist[dst][via] == std::numeric_limits<Time>::infinity()) {
     return std::nullopt;
   }
+  return via;
+}
+
+std::optional<Path> extract_path(const SearchResult& r, NodeId src,
+                                 NodeId dst) {
+  const std::optional<std::uint8_t> best = best_via(r, dst);
+  if (!best) return std::nullopt;
   Path p;
   NodeId node = dst;
-  std::uint8_t via = best_via;
+  std::uint8_t via = *best;
   while (node != src) {
     const auto& prev = r.prev[node][via];
     p.nodes.push_back(node);
@@ -115,15 +123,32 @@ std::optional<Path> extract_path(const SearchResult& r, NodeId src,
   return p;
 }
 
+/// Eq. 10 cost of one hop: what Path::latency() adds per edge.
+Time hop_time(const Graph& g, EdgeId e, Bytes bytes,
+              std::span<const Bandwidth> residual) {
+  return transfer_time(bytes, edge_bandwidth(g, e, residual)) +
+         g.edge(e).latency;
+}
+
+/// Eq. 10 latency of the tree route src -> (node, via), read off the
+/// predecessor chain without building a Path. The hops are summed on the
+/// unwind, i.e. in src -> dst order, so the result is bitwise the
+/// Path::latency() of extract_path()'s route.
+Time tree_latency(const Graph& g, const SearchResult& r, NodeId src,
+                  NodeId node, std::uint8_t via, Bytes bytes,
+                  std::span<const Bandwidth> residual) {
+  if (node == src) return 0.0;
+  const SearchResult::Prev& prev = r.prev[node][via];
+  return tree_latency(g, r, src, prev.node, prev.via, bytes, residual) +
+         hop_time(g, prev.edge, bytes, residual);
+}
+
 }  // namespace
 
 Time Path::latency(const Graph& g, Bytes bytes,
                    std::span<const Bandwidth> residual_bw) const {
   Time total = 0.0;
-  for (EdgeId e : edges) {
-    const Bandwidth bw = edge_bandwidth(g, e, residual_bw);
-    total += transfer_time(bytes, bw) + g.edge(e).latency;
-  }
+  for (EdgeId e : edges) total += hop_time(g, e, bytes, residual_bw);
   return total;
 }
 
@@ -145,32 +170,47 @@ bool Path::uses_nvlink(const Graph& g) const {
 namespace {
 
 /// Direct NVLink edge between src and dst, if any.
-std::optional<Path> direct_nvlink(const Graph& g, NodeId src, NodeId dst) {
+std::optional<EdgeId> direct_nvlink(const Graph& g, NodeId src, NodeId dst) {
   for (const Adjacency& adj : g.neighbors(src)) {
     if (adj.peer == dst && g.edge(adj.edge).kind == LinkKind::kNvLink) {
-      return Path{{src, dst}, {adj.edge}};
+      return adj.edge;
     }
   }
   return std::nullopt;
 }
 
-/// The src -> dst route out of src's Dijkstra, with the homogeneous
-/// baselines' direct-NVLink override applied. Shared by shortest_path() and
-/// PathOracle::path(), which is what keeps the two bit-identical.
+/// The homogeneous baselines' direct-NVLink override (allow_nvlink off,
+/// allow_nvlink_direct on): a direct src-dst NVLink edge replaces the
+/// Dijkstra route when there is none or the edge is strictly faster at the
+/// reference size. route() and PathOracle::latency() both ask this one
+/// function, so the path and its latency cannot disagree.
+std::optional<EdgeId> direct_override(const Graph& g, const SearchResult& r,
+                                      NodeId src, NodeId dst,
+                                      const PathOptions& opts) {
+  if (opts.constraints.allow_nvlink || !opts.constraints.allow_nvlink_direct) {
+    return std::nullopt;
+  }
+  const std::optional<EdgeId> direct = direct_nvlink(g, src, dst);
+  if (!direct) return std::nullopt;
+  const std::optional<std::uint8_t> via = best_via(r, dst);
+  if (!via) return direct;
+  const Time direct_t = hop_time(g, *direct, opts.ref_bytes, opts.residual_bw);
+  const Time found_t = tree_latency(g, r, src, dst, *via, opts.ref_bytes,
+                                    opts.residual_bw);
+  if (direct_t < found_t) return direct;
+  return std::nullopt;
+}
+
+/// The src -> dst route out of src's Dijkstra, with direct_override()
+/// applied. Shared by shortest_path() and PathOracle::path(), which is what
+/// keeps the two bit-identical.
 std::optional<Path> route(const Graph& g, const SearchResult& r, NodeId src,
                           NodeId dst, const PathOptions& opts) {
-  std::optional<Path> found = extract_path(r, src, dst);
-  if (opts.constraints.allow_nvlink || !opts.constraints.allow_nvlink_direct) {
-    return found;
+  if (const std::optional<EdgeId> direct =
+          direct_override(g, r, src, dst, opts)) {
+    return Path{{src, dst}, {*direct}};
   }
-  std::optional<Path> direct = direct_nvlink(g, src, dst);
-  if (direct && (!found || direct->latency(g, opts.ref_bytes,
-                                           opts.residual_bw) <
-                               found->latency(g, opts.ref_bytes,
-                                              opts.residual_bw))) {
-    return direct;
-  }
-  return found;
+  return extract_path(r, src, dst);
 }
 
 }  // namespace
@@ -220,9 +260,16 @@ std::optional<Path> PathOracle::path(NodeId src, NodeId dst) const {
 }
 
 Time PathOracle::latency(NodeId src, NodeId dst, Bytes bytes) const {
-  const std::optional<Path> p = path(src, dst);
-  if (!p) return std::numeric_limits<Time>::infinity();
-  return p->latency(*graph_, bytes, opts_.residual_bw);
+  check_graph_unchanged();
+  if (src == dst) return 0.0;
+  const detail::Sssp& r = solved(src);
+  if (const std::optional<EdgeId> direct =
+          direct_override(*graph_, r, src, dst, opts_)) {
+    return hop_time(*graph_, *direct, bytes, opts_.residual_bw);
+  }
+  const std::optional<std::uint8_t> via = best_via(r, dst);
+  if (!via) return std::numeric_limits<Time>::infinity();
+  return tree_latency(*graph_, r, src, dst, *via, bytes, opts_.residual_bw);
 }
 
 const std::vector<Path>& PathOracle::alternates(NodeId src, NodeId dst,

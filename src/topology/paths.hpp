@@ -106,8 +106,10 @@ class PathOracle {
 
   /// Same contract as shortest_path(g, src, dst, opts).
   [[nodiscard]] std::optional<Path> path(NodeId src, NodeId dst) const;
-  /// Eq. 10 latency of a `bytes` transfer along path(src, dst); infinity
-  /// when the pair is unreachable under the constraints.
+  /// Eq. 10 latency of a `bytes` transfer along path(src, dst), bitwise
+  /// path(src, dst)->latency(g, bytes, residual_bw); infinity when the pair
+  /// is unreachable under the constraints. Read off src's Dijkstra tree:
+  /// no Path is built and nothing is allocated once src is solved.
   [[nodiscard]] Time latency(NodeId src, NodeId dst, Bytes bytes) const;
   /// Same paths as alternate_paths(g, src, dst, k, opts), edge for edge.
   /// The reference stays valid for the oracle's lifetime.

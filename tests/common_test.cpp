@@ -1,10 +1,14 @@
 // Unit tests for the common utilities: RNG, statistics, formatting,
-// tables, and unit conversions.
+// tables, unit conversions, and the shared command-line parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/cli.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -13,6 +17,84 @@
 
 namespace hero {
 namespace {
+
+// --- command line ---
+
+TEST(Cli, ParseUintTakesWholeNonNegativeIntegers) {
+  EXPECT_EQ(cli::parse_uint("0", "n"), 0u);
+  EXPECT_EQ(cli::parse_uint("10", "n"), 10u);
+  EXPECT_EQ(cli::parse_uint("99999999999", "n"), 99999999999u);
+  EXPECT_EQ(cli::parse_uint("18446744073709551615", "n"),
+            18446744073709551615u);
+  EXPECT_EQ(cli::parse_uint("255", "n", 255), 255u);
+  for (const char* bad : {"", "10abc", "7x", "abc", "1.5", "-5", "+5", " 7",
+                          "7 ", "0x10", "1e3"}) {
+    EXPECT_THROW((void)cli::parse_uint(bad, "n"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  // Out of range: past uint64, or past the caller's maximum.
+  EXPECT_THROW((void)cli::parse_uint("18446744073709551616", "n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli::parse_uint("99999999999999999999999", "n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli::parse_uint("256", "n", 255), std::invalid_argument);
+  try {
+    (void)cli::parse_uint("10abc", "argument 2");
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "argument 2: '10abc' is not a non-negative integer");
+  }
+}
+
+TEST(Cli, PositionalSizeRejectsWhatIsNotACount) {
+  cli::Options opts;
+  opts.positional = {"2", "10abc", "-5", "99999999999",
+                     "18446744073709551616"};
+  EXPECT_EQ(cli::positional_size(opts, 0, 7), 2u);
+  EXPECT_EQ(cli::positional_size(opts, 5, 7), 7u);  // past the end
+  EXPECT_THROW((void)cli::positional_size(opts, 1, 7), std::invalid_argument);
+  EXPECT_THROW((void)cli::positional_size(opts, 2, 7), std::invalid_argument);
+  // A huge count parses exactly; sizing a run by it is the caller's call.
+  EXPECT_EQ(cli::positional_size(opts, 3, 7), 99999999999u);
+  EXPECT_THROW((void)cli::positional_size(opts, 4, 7), std::invalid_argument);
+}
+
+/// parse_args over a mutable copy of `args` (argv[0] is added).
+cli::Options parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  return cli::parse_args(argc, argv.data(), "prog");
+}
+
+TEST(Cli, SeedAndInstancesFlags) {
+  const cli::Options opts = parse({"--seed", "7", "--instances", "3", "2"});
+  EXPECT_EQ(opts.seed, 7u);
+  EXPECT_TRUE(opts.seed_given);
+  EXPECT_EQ(opts.instances, 3u);
+  EXPECT_EQ(opts.positional, std::vector<std::string>{"2"});
+  EXPECT_EQ(parse({"--instances", "0"}).instances, 1u);
+  EXPECT_EQ(parse({"--seed", "18446744073709551615"}).seed,
+            18446744073709551615u);
+}
+
+TEST(CliDeathTest, BadFlagValueExitsTwoWithOneErrorLine) {
+  EXPECT_EXIT((void)parse({"--seed", "abc"}), ::testing::ExitedWithCode(2),
+              "^error: --seed: 'abc' is not a non-negative integer\n$");
+  EXPECT_EXIT((void)parse({"--seed", "7x"}), ::testing::ExitedWithCode(2),
+              "error: --seed: '7x'");
+  EXPECT_EXIT((void)parse({"--seed", "-1"}), ::testing::ExitedWithCode(2),
+              "error: --seed: '-1'");
+  EXPECT_EXIT((void)parse({"--instances", "1.5"}),
+              ::testing::ExitedWithCode(2), "error: --instances: '1.5'");
+  EXPECT_EXIT((void)parse({"--instances", "-5"}),
+              ::testing::ExitedWithCode(2), "error: --instances: '-5'");
+  EXPECT_EXIT((void)parse({"--instances", "18446744073709551616"}),
+              ::testing::ExitedWithCode(2), "is out of range");
+}
 
 // --- units ---
 

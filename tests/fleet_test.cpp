@@ -246,6 +246,46 @@ TEST_F(RouterTieBreak, AffinityRoutesFollowUpToTheHolder) {
   EXPECT_EQ(fleet->instance(1).prefix_stats().reused_tokens, 1920u);
 }
 
+TEST_F(RouterTieBreak, StreamQuoteRoutesAreMemoizedPerPair) {
+  // The prefix holder alternates between the two instances and is buried
+  // under a prefill backlog, so the other instance wins and quotes a stream
+  // from it: two (from, to) pairs, each searched once. Every decision must
+  // equal the one a fresh router (empty memo) makes on the same context.
+  const auto fleet = make_fleet(serve::RouterPolicy::kHeroServe,
+                                std::nullopt, /*prefix_block_tokens=*/128);
+  serve::Router& router = fleet->router();
+  EXPECT_EQ(router.stream_routes_memoized(), 0u);
+  wl::Request r = request();
+  r.session_id = 7;
+  r.input_tokens = 2048;
+  r.prefix_tokens = 1920;
+  for (std::size_t k = 0; k < 6; ++k) {
+    const std::size_t holder = k % 2 == 0 ? 1 : 0;
+    serve::ArrivalContext ctx = router.make_context(r);
+    ctx.prefix_tokens = 1920;
+    ctx.prefix_instance = holder;
+    ctx.probes[holder].load.prefill_backlog_tokens = 1000000;
+    serve::Router fresh(*network_, router.config());
+    for (std::size_t i = 0; i < fleet->instance_count(); ++i) {
+      fresh.add_instance(fleet->instance(i));
+    }
+    const serve::RouteDecision got = router.route(ctx);
+    const serve::RouteDecision want = fresh.route(ctx);
+    EXPECT_EQ(got.instance, 1 - holder);
+    EXPECT_NE(got.prefix, serve::PrefixAction::kHit);
+    EXPECT_GT(raw(got.stream_s), 0.0);
+    EXPECT_EQ(got.instance, want.instance);
+    EXPECT_EQ(got.prefix, want.prefix);
+    EXPECT_EQ(got.reuse_tokens, want.reuse_tokens);
+    EXPECT_EQ(got.stream_from, want.stream_from);
+    EXPECT_EQ(raw(got.stream_bytes), raw(want.stream_bytes));
+    EXPECT_EQ(raw(got.stream_s), raw(want.stream_s));
+    EXPECT_EQ(raw(got.recompute_s), raw(want.recompute_s));
+    EXPECT_EQ(router.stream_routes_memoized(), k == 0 ? 1u : 2u);
+    EXPECT_EQ(fresh.stream_routes_memoized(), 1u);
+  }
+}
+
 TEST_F(RouterTieBreak, DrainPurgesDirectoryBeforeRelease) {
   const auto fleet = make_fleet(serve::RouterPolicy::kHeroServe,
                                 std::nullopt, /*prefix_block_tokens=*/128);

@@ -3,6 +3,7 @@
 // building, the controller loop, and the baselines' static plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -159,9 +160,97 @@ TEST(PolicyTable, SyncCostsFromNetworkUsesMeasuredUtilization) {
   ASSERT_TRUE(p.has_value());
   network.start_transfer(*p, 100.0 * units::MB, {});
   simulator.run_until(10.0 * units::us);
-  table.sync_costs_from_network(network);
+  table.sync(network, OnlineConfig{});
   EXPECT_GT(table.policy(0).cost, 0.9);
   EXPECT_NEAR(table.policy(1).cost, 0.0, 1e-9);
+}
+
+TEST(PolicyTable, SyncMatchesEq18AcrossFlowChanges) {
+  // Three policies over the diamond: left {0,1}, right {2,3} and a cross
+  // route {0,3} sharing one edge with each. Flows start and stop between
+  // syncs; after every sync, b_c and every f[c*][c] must be bitwise what
+  // Eq. 18 gives from fresh utilization readings — whether the readings
+  // moved or the table reused what it derived from the last ones.
+  TableFixture f;
+  Policy cross;
+  cross.name = "cross";
+  cross.edges = {0, 3};
+  f.policies.push_back(cross);
+  const std::vector<std::vector<topo::EdgeId>> edges = {
+      {0, 1}, {2, 3}, {0, 3}};
+  sim::Simulator simulator;
+  net::FlowNetwork network(simulator, f.graph);
+  PolicyTable table(std::move(f.policies), f.graph);
+  OnlineConfig cfg;
+  cfg.gamma = 0.3;
+
+  const std::size_t n = edges.size();
+  std::vector<std::vector<double>> expected(n, std::vector<double>(n));
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t o = 0; o < n; ++o) expected[s][o] = table.penalty(s, o);
+  }
+  auto sync_and_check = [&](const char* when) {
+    table.sync(network, cfg);
+    std::vector<std::vector<Bandwidth>> w(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      double max_util = 0.0;
+      for (topo::EdgeId e : edges[c]) {
+        const double u = network.edge_utilization(e);
+        max_util = std::max(max_util, u);
+        w[c].push_back(std::max(u, 0.05) * f.graph.edge(e).capacity);
+      }
+      EXPECT_EQ(table.policy(c).cost, max_util) << when << " b_" << c;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t o = 0; o < n; ++o) {
+        if (s == o) {
+          EXPECT_EQ(table.penalty(s, o), 1.0);
+          continue;
+        }
+        Bandwidth shared = 0.0, total = 0.0;
+        for (std::size_t i = 0; i < edges[o].size(); ++i) {
+          const topo::EdgeId e = edges[o][i];
+          if (std::find(edges[s].begin(), edges[s].end(), e) !=
+              edges[s].end()) {
+            shared += w[o][i];
+          }
+        }
+        for (Bandwidth x : w[o]) total += x;
+        const double ratio = total > 0 ? shared / total : 0.0;
+        expected[s][o] = (1.0 - cfg.gamma) * expected[s][o] +
+                         cfg.gamma * ratio;
+        EXPECT_EQ(table.penalty(s, o), expected[s][o])
+            << when << " f[" << s << "][" << o << "]";
+      }
+    }
+  };
+
+  const NodeId a = f.graph.find("a");
+  const NodeId b = f.graph.find("b");
+  const topo::Path left{{a, f.graph.find("s0"), b}, {0, 1}};
+  const topo::Path right{{a, f.graph.find("s1"), b}, {2, 3}};
+  sync_and_check("idle");
+  sync_and_check("idle again");
+  const net::TransferId on_left =
+      network.start_transfer(left, 100.0 * units::MB, {});
+  simulator.run_until(10.0 * units::us);
+  sync_and_check("left busy");
+  EXPECT_GT(table.policy(0).cost, 0.9);
+  // An Eq. 17 bump is undone by the next sync even though no reading moved.
+  table.apply_selection(1, 12.5 * units::MB, cfg);
+  EXPECT_GT(table.policy(1).cost, 0.0);
+  sync_and_check("bumped, readings unchanged");
+  const net::TransferId on_right =
+      network.start_transfer(right, 100.0 * units::MB, {});
+  simulator.run_until(20.0 * units::us);
+  sync_and_check("both busy");
+  network.cancel_transfer(on_left);
+  simulator.run_until(30.0 * units::us);
+  sync_and_check("left stopped");
+  network.cancel_transfer(on_right);
+  simulator.run_until(40.0 * units::us);
+  sync_and_check("idle at the end");
+  EXPECT_EQ(table.policy(0).cost, 0.0);
 }
 
 // --- policy building ---

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "common/check.hpp"
@@ -262,6 +263,110 @@ TEST(PathOracle, MatchesSinglePairQueriesExactly) {
       }
     }
   }
+}
+
+/// Two pods of a k = 4 fat-tree (4 cores, 2 aggregation + 2 edge switches
+/// per pod, 2 GPUs per edge switch) at uniform 100 Gbps, so most pairs tie
+/// between several equal-cost routes. The two GPUs under an edge switch
+/// share a server and an NVLink edge, and one GPU hangs off nothing.
+Graph tied_fat_tree() {
+  Graph g;
+  const Bandwidth eth = 100.0 * units::Gbps;
+  std::vector<NodeId> cores;
+  for (int c = 0; c < 4; ++c) {
+    cores.push_back(g.add_switch("core" + std::to_string(c),
+                                 NodeKind::kCoreSwitch, 8));
+  }
+  std::int32_t server = 0;
+  for (int pod = 0; pod < 2; ++pod) {
+    const std::string tag = "p" + std::to_string(pod);
+    std::vector<NodeId> aggs;
+    for (int a = 0; a < 2; ++a) {
+      aggs.push_back(g.add_switch(tag + "agg" + std::to_string(a),
+                                  NodeKind::kAccessSwitch, 8));
+      g.add_edge(aggs[a], cores[2 * a], LinkKind::kEthernet, eth);
+      g.add_edge(aggs[a], cores[2 * a + 1], LinkKind::kEthernet, eth);
+    }
+    for (int e = 0; e < 2; ++e) {
+      const NodeId edge = g.add_switch(tag + "edge" + std::to_string(e),
+                                       NodeKind::kAccessSwitch);
+      for (NodeId agg : aggs) g.add_edge(edge, agg, LinkKind::kEthernet, eth);
+      NodeId prev = kInvalidNode;
+      for (int h = 0; h < 2; ++h) {
+        const NodeId gpu =
+            g.add_gpu(tag + "e" + std::to_string(e) + "g" + std::to_string(h),
+                      GpuModel::kA100_40, 40.0 * units::GB, server);
+        g.add_edge(gpu, edge, LinkKind::kEthernet, eth);
+        if (prev != kInvalidNode) {
+          g.add_edge(prev, gpu, LinkKind::kNvLink, 600.0 * units::GBps, 0.5 * units::us);
+        }
+        prev = gpu;
+      }
+      ++server;
+    }
+  }
+  g.add_gpu("island", GpuModel::kA100_40, 40.0 * units::GB, server);
+  return g;
+}
+
+/// PathOracle::latency against the Path it answers for, bit for bit, on
+/// every ordered pair of `g`: both constraint regimes, four sizes, static
+/// capacities and a residual-bandwidth vector. Returns the unreachable
+/// pairs seen (each must read infinity).
+std::size_t expect_latency_matches_path_latency(const Graph& g) {
+  std::vector<Bandwidth> residual(g.edge_count());
+  Rng rng(19);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    residual[e] = g.edge(e).capacity * rng.uniform(0.05, 1.0);
+  }
+  const Bytes sizes[] = {0.0, 64.0 * units::KiB, 1.0 * units::MiB,
+                         1.0 * units::GiB};
+  std::size_t unreachable = 0;
+  for (const bool hetero : {true, false}) {
+    for (const bool use_residual : {false, true}) {
+      PathOptions opts;
+      opts.constraints =
+          PathConstraints{hetero, true, /*allow_nvlink_direct=*/!hetero};
+      if (use_residual) opts.residual_bw = residual;
+      const PathOracle oracle(g, opts);
+      for (NodeId a = 0; a < g.node_count(); ++a) {
+        for (NodeId b = 0; b < g.node_count(); ++b) {
+          const std::optional<Path> p = oracle.path(a, b);
+          for (const Bytes bytes : sizes) {
+            const Time got = oracle.latency(a, b, bytes);
+            if (!p) {
+              EXPECT_TRUE(std::isinf(raw(got))) << a << " -> " << b;
+              continue;
+            }
+            EXPECT_EQ(raw(got), raw(p->latency(g, bytes, opts.residual_bw)))
+                << a << " -> " << b << " at " << raw(bytes) << " B, hetero "
+                << hetero << ", residual " << use_residual;
+          }
+          if (!p) ++unreachable;
+          if (a == b) {
+            EXPECT_EQ(raw(oracle.latency(a, b, units::GiB)), 0.0);
+          }
+        }
+      }
+    }
+  }
+  return unreachable;
+}
+
+TEST(PathOracle, LatencyMatchesPathLatencyExactly) {
+  // No Path is built behind latency(): it walks the source's Dijkstra
+  // tree, so it has to agree with the route path() returns, including the
+  // homogeneous direct-NVLink override and the summation order.
+  EXPECT_EQ(expect_latency_matches_path_latency(make_testbed()), 0u);
+  FleetClusterOptions fleet;
+  fleet.racks = 4;
+  EXPECT_EQ(expect_latency_matches_path_latency(make_fleet_cluster(fleet)),
+            0u);
+  const Graph tree = tied_fat_tree();
+  // The island reaches nothing and nothing reaches it: 2 (n - 1) pairs in
+  // each of the four regime x residual sweeps.
+  EXPECT_EQ(expect_latency_matches_path_latency(tree),
+            4 * 2 * (tree.node_count() - 1));
 }
 
 TEST(PathOracle, SolvesEachSourceOnce) {

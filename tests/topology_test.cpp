@@ -86,6 +86,34 @@ TEST(Graph, GpusBySwitchesAndServers) {
   EXPECT_EQ(by_server[1].size(), 2u);
 }
 
+TEST(Graph, SwitchesListFollowsInsertion) {
+  // add_* calls interleaved: the list must equal an insertion-order scan
+  // of the node kinds, and be one object filled as switches are added.
+  Graph g;
+  const NodeId g0 = g.add_gpu("g0", GpuModel::kA100_40, 1, 0);
+  const NodeId core = g.add_switch("core", NodeKind::kCoreSwitch);
+  g.add_server("ps");
+  const NodeId tor = g.add_switch("tor", NodeKind::kAccessSwitch, 8);
+  g.add_edge(g0, tor, LinkKind::kEthernet, 1.0);
+  const NodeId g1 = g.add_gpu("g1", GpuModel::kA100_40, 1, 1);
+  g.add_edge(g0, g1, LinkKind::kNvLink, 1.0);
+  const NodeId tor2 = g.add_switch("tor2", NodeKind::kAccessSwitch);
+  g.add_edge(tor, core, LinkKind::kEthernet, 1.0);
+
+  const std::vector<NodeId>& list = g.switches();
+  std::vector<NodeId> scan;
+  for (NodeId i = 0; i < g.node_count(); ++i) {
+    if (g.is_switch(i)) scan.push_back(i);
+  }
+  EXPECT_EQ(list, scan);
+  EXPECT_EQ(list, (std::vector<NodeId>{core, tor, tor2}));
+  EXPECT_EQ(&g.switches(), &list);
+  // A copy carries its own list.
+  const Graph copy = g;
+  EXPECT_EQ(copy.switches(), list);
+  EXPECT_NE(&copy.switches(), &list);
+}
+
 TEST(Graph, FindByName) {
   Graph g;
   const NodeId a = g.add_gpu("alpha", GpuModel::kA100_40, 1, 0);
