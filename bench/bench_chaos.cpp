@@ -182,7 +182,8 @@ void print_verdict() {
 
 int main(int argc, char** argv) {
   const hero::cli::Options opts = hero::bench::init(
-      argc, argv, "bench_chaos [--seed N] [google-benchmark flags]");
+      argc, argv, "bench_chaos [--seed N] [google-benchmark flags]",
+      hero::cli::kSeed);
   if (opts.seed_given) g_seed = opts.seed;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

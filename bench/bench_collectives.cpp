@@ -127,7 +127,7 @@ BENCHMARK_CAPTURE(Coll_PcieCase, pcie_hier_ina_16MB, Variant::kHierIna,
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_collectives [--seed N] [google-benchmark flags]");
+                          "bench_collectives [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

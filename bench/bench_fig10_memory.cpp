@@ -88,7 +88,7 @@ BENCHMARK_CAPTURE(Fig10_Cell, DsSwitchMl, SystemKind::kDsSwitchMl)
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_fig10_memory [--seed N] [google-benchmark flags]");
+                          "bench_fig10_memory [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -95,7 +95,7 @@ BENCHMARK(Fig1_A100)->Iterations(1);
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_fig1_prefill_breakdown [--seed N] [google-benchmark flags]");
+                          "bench_fig1_prefill_breakdown [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -82,7 +82,7 @@ BENCHMARK(Fig2_Heterogeneous)->Iterations(1);
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_fig2_hetero_ina [--seed N] [google-benchmark flags]");
+                          "bench_fig2_hetero_ina [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

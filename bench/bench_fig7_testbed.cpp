@@ -156,7 +156,8 @@ void write_json() {
 int main(int argc, char** argv) {
   const hero::cli::Options opts = hero::bench::init(
       argc, argv,
-      "bench_fig7_testbed [--seed N] [google-benchmark flags]");
+      "bench_fig7_testbed [--seed N] [google-benchmark flags]",
+      hero::cli::kSeed);
   g_seed = opts.seed_given ? opts.seed : 17;
   g_seed_given = opts.seed_given;
   benchmark::RunSpecifiedBenchmarks();

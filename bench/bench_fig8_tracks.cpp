@@ -130,7 +130,7 @@ void print_setup(const TrackSetup& setup) {
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_fig8_tracks [--seed N] [google-benchmark flags]");
+                          "bench_fig8_tracks [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   print_setup(kTwoTracks);

@@ -128,7 +128,7 @@ FIG9(DsSwitchMl);
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_fig9_ina_throughput [--seed N] [google-benchmark flags]");
+                          "bench_fig9_ina_throughput [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

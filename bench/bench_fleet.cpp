@@ -182,7 +182,8 @@ void print_verdict() {
 int main(int argc, char** argv) {
   const hero::cli::Options opts = hero::bench::init(
       argc, argv,
-      "bench_fleet [--seed N] [--quick] [google-benchmark flags]");
+      "bench_fleet [--seed N] [--quick] [google-benchmark flags]",
+      hero::cli::kSeed | hero::cli::kQuick);
   if (opts.seed_given) g_seed = opts.seed;
   g_quick = opts.quick;
   register_cells();

@@ -159,7 +159,7 @@ BENCHMARK_CAPTURE(Ablate, frozen_policy, [] {
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_online_ablation [--seed N] [google-benchmark flags]");
+                          "bench_online_ablation [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   g_table.print();

@@ -161,7 +161,7 @@ BENCHMARK_CAPTURE(Planner_Perturb, rounds10, 10)->Iterations(1);
 
 int main(int argc, char** argv) {
   (void)hero::bench::init(argc, argv,
-                          "bench_planner [--seed N] [google-benchmark flags]");
+                          "bench_planner [google-benchmark flags]", 0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   g_scaling.print();

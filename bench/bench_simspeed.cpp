@@ -9,6 +9,7 @@
 //   * how much max-min work the incremental flow-network engine avoided
 //     (flows actually re-solved vs the full-solve baseline's would-be work),
 //   * the peak number of live calendar entries (peak_pending_events),
+//   * scheduled calendar entries per request (events_per_request),
 //   * for the fleets, the planners' single-source Dijkstra runs
 //     (plan_route_solves, summed over the instances' PlanResults),
 // and the wall-time ratio of the 64- to the 32-instance fleet (how planning
@@ -133,6 +134,20 @@ const Scenario kScenarios[] = {
 
 std::map<std::string, Outcome> g_outcomes;
 
+/// Calendar entries scheduled per request of the trace (deterministic).
+double events_per_request(const Outcome& o) {
+  if (o.requests == 0) return 0.0;
+  return static_cast<double>(o.stats.events_scheduled) /
+         static_cast<double>(o.requests);
+}
+
+/// Fleet ceiling on events_per_request. The fleets decode on TP1 pipeline
+/// stages: one entry per iteration for those stages, one per activation
+/// batch of same-instant flow hops, keeps them at 80-115 entries per
+/// request (full and --quick); an entry per decode stage per iteration
+/// puts them at 250-520.
+constexpr double kFleetEventsPerRequest = 160.0;
+
 /// Fraction of per-flow max-min solves the incremental engine skipped:
 /// a full solve re-rates every in-flight flow each reallocation round
 /// (flows_active); the dirty-set solve only touches the affected
@@ -211,6 +226,7 @@ void write_json() {
         .integer("events_scheduled", o.stats.events_scheduled)
         .integer("events_cancelled", o.stats.events_cancelled)
         .integer("peak_pending_events", o.stats.peak_pending_events)
+        .num("events_per_request", events_per_request(o))
         .integer("route_searches", o.stats.route_searches);
     if (s.fleet) row.integer("plan_route_solves", o.route_solves);
     row
@@ -233,23 +249,32 @@ void write_json() {
 /// CI floor: the 16-instance fleet trace must buy at least 5 simulated
 /// seconds per wall second (the pre-rework engine managed ~1.4), the
 /// incremental engine must skip at least half of the per-flow max-min
-/// solves a full-solve engine would run, and no fleet scenario's calendar
+/// solves a full-solve engine would run, no fleet scenario's calendar
 /// may ever hold as many entries as it has requests — arrivals enter as
-/// one series, so the calendar holds live events only. The single-instance
-/// scenarios are exempt: under --quick their traces (20 and 15 requests)
-/// are no longer than the events a TP8 collective keeps live at once.
+/// one series, so the calendar holds live events only — and no fleet
+/// scenario may schedule more than kFleetEventsPerRequest entries per
+/// request. The single-instance scenarios are exempt: under --quick their
+/// traces (20 and 15 requests) are no longer than the events a TP8
+/// collective keeps live at once.
 void print_verdict() {
   const Outcome& fleet16 = g_outcomes["fleet16"];
   bool pass = fleet16.ok;
   for (const Scenario& s : kScenarios) {
     const Outcome& o = g_outcomes[s.name];
-    if (s.fleet && o.ok && o.stats.peak_pending_events >= o.requests) {
+    if (!s.fleet || !o.ok) continue;
+    if (o.stats.peak_pending_events >= o.requests) {
       pass = false;
       std::printf("verdict: %s peak calendar %llu entries reaches its %zu "
                   "requests\n",
                   s.name,
                   static_cast<unsigned long long>(o.stats.peak_pending_events),
                   o.requests);
+    }
+    if (events_per_request(o) > kFleetEventsPerRequest) {
+      pass = false;
+      std::printf("verdict: %s schedules %.1f events per request, above "
+                  "%.0f\n",
+                  s.name, events_per_request(o), kFleetEventsPerRequest);
     }
   }
   if (fleet16.ok) {
@@ -276,7 +301,8 @@ int main(int argc, char** argv) {
   const hero::cli::Options opts = hero::bench::init(
       argc, argv,
       "bench_simspeed [--seed N] [--quick] [--full-solve] "
-      "[google-benchmark flags]");
+      "[google-benchmark flags]",
+      hero::cli::kSeed | hero::cli::kQuick | hero::cli::kFullSolve);
   if (opts.seed_given) g_seed = opts.seed;
   g_quick = opts.quick;
   g_full_solve = opts.full_solve;

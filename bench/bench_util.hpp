@@ -22,11 +22,13 @@
 
 namespace hero::bench {
 
-/// Shared harness front door: strip the repo-wide flags (--seed, --faults,
-/// --trace, --help) from argv, then hand the remainder (--benchmark_filter
-/// etc.) to google-benchmark. Call first in every bench main.
-inline cli::Options init(int& argc, char** argv, const char* usage) {
-  cli::Options opts = cli::parse_args(argc, argv, usage);
+/// Shared harness front door: strip the repo-wide flags from argv (a shared
+/// flag outside `accepted`, the cli::SharedFlag bits the bench reads, is an
+/// error), then hand the remainder (--benchmark_filter etc.) to
+/// google-benchmark. Call first in every bench main.
+inline cli::Options init(int& argc, char** argv, const char* usage,
+                         unsigned accepted) {
+  cli::Options opts = cli::parse_args(argc, argv, usage, accepted);
   benchmark::Initialize(&argc, argv);
   return opts;
 }

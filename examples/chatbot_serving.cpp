@@ -20,7 +20,8 @@ namespace {
 
 int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
-      argc, argv, "chatbot_serving [requests] [--seed N] [--faults plan.json]");
+      argc, argv, "chatbot_serving [requests] [--seed N] [--faults plan.json]",
+      cli::kSeed | cli::kFaults);
   const std::size_t requests = cli::positional_size(opts, 0, 100);
 
   ExperimentConfig cfg;

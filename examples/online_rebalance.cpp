@@ -7,7 +7,7 @@
 // policy cost table each interval and which policy the scheduler selects —
 // showing the Eq. 16 selection and Eq. 17/18 cost propagation at work.
 //
-//   ./build/examples/online_rebalance [--seed N] [--faults plan.json]
+//   ./build/examples/online_rebalance [--faults plan.json]
 //
 // The link failure is injected through the faults subsystem: without
 // --faults a built-in plan degrades the w0g0->sw0 uplink to 10% at
@@ -27,7 +27,7 @@ namespace {
 
 int run(int argc, char** argv) {
   const cli::Options cli_opts = cli::parse_args(
-      argc, argv, "online_rebalance [--seed N] [--faults plan.json]");
+      argc, argv, "online_rebalance [--faults plan.json]", cli::kFaults);
   const topo::Graph graph = topo::make_testbed();
   sim::Simulator simulator;
   net::FlowNetwork network(simulator, graph);

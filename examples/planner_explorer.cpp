@@ -44,7 +44,8 @@ void dump_cluster(const char* name, const planner::ClusterPlan& cluster,
 int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
-      "planner_explorer [testbed|tracks] [rate] [66b|175b|13b] [--seed N]");
+      "planner_explorer [testbed|tracks] [rate] [66b|175b|13b] [--seed N]",
+      cli::kSeed);
   const std::string topo_name = cli::positional_str(opts, 0, "testbed");
   const double rate = cli::positional_double(opts, 1, 1.5);
   const std::string model_name = cli::positional_str(opts, 2, "66b");

@@ -109,7 +109,9 @@ int run(int argc, char** argv) {
       argc, argv,
       "quickstart [rate] [requests] [--seed N] [--trace out.json] "
       "[--faults plan.json] [--instances N] [--router rr|random|jsq|hero] "
-      "[--full-solve]");
+      "[--full-solve]",
+      cli::kSeed | cli::kTrace | cli::kFaults | cli::kInstances |
+          cli::kRouter | cli::kFullSolve);
   const double rate = cli::positional_double(opts, 0, 2.0);
   const std::size_t requests = cli::positional_size(opts, 1, 80);
   if (requests == 0) {

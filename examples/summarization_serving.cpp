@@ -22,7 +22,8 @@ int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
       "summarization_serving [rate] [requests] [--seed N] "
-      "[--faults plan.json]");
+      "[--faults plan.json]",
+      cli::kSeed | cli::kFaults);
   const double rate = cli::positional_double(opts, 0, 0.4);
   const std::size_t requests = cli::positional_size(opts, 1, 60);
 

@@ -65,7 +65,8 @@ int run(int argc, char** argv) {
   const cli::Options opts = cli::parse_args(
       argc, argv,
       "trace_replay [trace.csv] [rate] [--seed N] [--trace out.json] "
-      "[--faults plan.json]");
+      "[--faults plan.json]",
+      cli::kSeed | cli::kTrace | cli::kFaults);
 
   wl::Trace trace;
   if (!opts.positional.empty()) {

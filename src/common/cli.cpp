@@ -16,22 +16,28 @@ namespace {
   std::exit(1);
 }
 
-/// parse_uint for a flag value; a bad value ends the process like an
-/// exception escaping guarded_main would (bench mains are not guarded).
+/// Ends the process like an exception escaping guarded_main would (bench
+/// mains are not guarded).
+[[noreturn]] void input_error(const char* message) {
+  std::fflush(stdout);
+  std::fprintf(stderr, "error: %s\n", message);
+  std::exit(2);
+}
+
+/// parse_uint for a flag value; a bad value is an input_error.
 std::uint64_t flag_uint(const char* text, const char* flag,
                         std::uint64_t max) {
   try {
     return parse_uint(text, flag, max);
   } catch (const std::invalid_argument& e) {
-    std::fflush(stdout);
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
+    input_error(e.what());
   }
 }
 
 }  // namespace
 
-Options parse_args(int& argc, char** argv, const char* usage) {
+Options parse_args(int& argc, char** argv, const char* usage,
+                   unsigned accepted) {
   Options opts;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -40,27 +46,41 @@ Options parse_args(int& argc, char** argv, const char* usage) {
       if (i + 1 >= argc) usage_error(usage, flag);
       return argv[++i];
     };
+    // A shared flag the binary does not read is an error, not ignored.
+    auto accept = [&](SharedFlag flag) {
+      if ((accepted & flag) != 0) return;
+      const std::string message =
+          std::string(a) + " is not an option here (usage: " + usage + ")";
+      input_error(message.c_str());
+    };
     if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       std::printf("usage: %s\n", usage);
       std::exit(0);
     } else if (std::strcmp(a, "--seed") == 0) {
+      accept(kSeed);
       opts.seed = flag_uint(value("--seed"), "--seed",
                             std::numeric_limits<std::uint64_t>::max());
       opts.seed_given = true;
     } else if (std::strcmp(a, "--faults") == 0) {
+      accept(kFaults);
       opts.faults_path = value("--faults");
     } else if (std::strcmp(a, "--trace") == 0) {
+      accept(kTrace);
       opts.trace_path = value("--trace");
     } else if (std::strcmp(a, "--instances") == 0) {
+      accept(kInstances);
       opts.instances = static_cast<std::size_t>(
           flag_uint(value("--instances"), "--instances",
                     std::numeric_limits<std::size_t>::max()));
       if (opts.instances == 0) opts.instances = 1;
     } else if (std::strcmp(a, "--router") == 0) {
+      accept(kRouter);
       opts.router = value("--router");
     } else if (std::strcmp(a, "--quick") == 0) {
+      accept(kQuick);
       opts.quick = true;
     } else if (std::strcmp(a, "--full-solve") == 0) {
+      accept(kFullSolve);
       opts.full_solve = true;
     } else {
       // A negative number ("-1") is a positional value, not a flag.

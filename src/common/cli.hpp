@@ -10,8 +10,10 @@
 //   --quick            reduced-size run (smoke-test mode)
 //   --full-solve       whole-fabric max-min each round (equivalence gate)
 //   --help             print the binary's usage string and exit 0
-// — plus positional argument collection. Recognized flags are *removed*
-// from argv (argc is updated) so harnesses can hand the remainder to
+// — plus positional argument collection. Each binary names the shared
+// flags it reads; any other shared flag is an error, so a flag a binary
+// would ignore never looks accepted. Recognized flags are *removed* from
+// argv (argc is updated) so harnesses can hand the remainder to
 // google-benchmark's Initialize() untouched; unrecognized flags (e.g.
 // --benchmark_filter) pass through.
 #pragma once
@@ -36,11 +38,25 @@ struct Options {
   std::vector<std::string> positional;
 };
 
+/// The shared flags, one bit each; a binary passes the ones it reads.
+/// --help is always accepted.
+enum SharedFlag : unsigned {
+  kSeed = 1u << 0,
+  kFaults = 1u << 1,
+  kTrace = 1u << 2,
+  kInstances = 1u << 3,
+  kRouter = 1u << 4,
+  kQuick = 1u << 5,
+  kFullSolve = 1u << 6,
+};
+
 /// Parse and strip the shared flags from argv. On --help prints `usage`
 /// and exits 0; on a flag missing its value prints `usage` to stderr and
-/// exits 1; on a bad --seed or --instances value (see parse_uint) prints
-/// one `error:` line to stderr and exits 2.
-[[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage);
+/// exits 1; on a shared flag outside `accepted`, or a bad --seed or
+/// --instances value (see parse_uint), prints one `error:` line to stderr
+/// and exits 2.
+[[nodiscard]] Options parse_args(int& argc, char** argv, const char* usage,
+                                 unsigned accepted);
 
 /// Run `body` as a binary's main: a std::exception escaping it prints one
 /// `error: <what>` line to stderr and returns 2 instead of aborting.

@@ -63,7 +63,8 @@ std::uint32_t FlowNetwork::acquire_slot() {
 
 void FlowNetwork::retire_slot(std::uint32_t slot) {
   Transfer& t = pool_[slot];
-  HERO_INVARIANT(t.pending_event == sim::kInvalidEvent,
+  HERO_INVARIANT(t.pending_event == sim::kInvalidEvent &&
+                     t.activation == kNoActivation,
                  "transfer {} retired with a live event", t.id);
   --live_transfers_;
   t.id = kInvalidTransfer;
@@ -112,7 +113,9 @@ void FlowNetwork::detach_links(std::uint32_t slot) {
 
 TransferId FlowNetwork::start_transfer(const topo::Path& path, Bytes bytes,
                                        TransferOptions opts) {
-  if (bytes < 0) throw std::invalid_argument("start_transfer: bytes < 0");
+  if (!std::isfinite(raw(bytes)) || bytes < 0) {
+    throw std::invalid_argument("start_transfer: bytes must be finite, >= 0");
+  }
   const TransferId id = next_id_++;
   if (path.empty() || bytes <= kEpsilonBytes) {
     // Local (same-node) transfers or empty payloads complete "immediately"
@@ -173,15 +176,56 @@ void FlowNetwork::begin_hop(std::uint32_t slot) {
   } else {
     latency = graph_->edge(t.path.edges[t.hop]).latency;
   }
-  const TransferId id = t.id;
-  t.pending_event = sim_->schedule_in(
-      latency, [this, slot, id] { activate(slot, id); });
+  const Time at = sim_->now() + latency;
+  // Join the open activation entry when this activation would have been
+  // the very next calendar entry at the same time: no sequence number lies
+  // between the two, so nothing can fire between them, and running the
+  // members in join order inside one callback is exactly the order
+  // separate entries give. Otherwise open a new entry.
+  if (open_activation_ == kNoActivation || at != open_at_ ||
+      sim_->scheduled_events() != open_stamp_) {
+    if (!free_activations_.empty()) {
+      open_activation_ = free_activations_.back();
+      free_activations_.pop_back();
+    } else {
+      open_activation_ = static_cast<std::uint32_t>(activations_.size());
+      activations_.emplace_back();
+    }
+    const std::uint32_t index = open_activation_;
+    activations_[index].event =
+        sim_->schedule(at, [this, index] { fire_activation(index); });
+    open_at_ = at;
+    open_stamp_ = sim_->scheduled_events();
+  }
+  Activation& a = activations_[open_activation_];
+  a.members.push_back({slot, t.id});
+  ++a.waiting;
+  t.activation = open_activation_;
+}
+
+void FlowNetwork::release_activation(std::uint32_t index) {
+  Activation& a = activations_[index];
+  a.event = sim::kInvalidEvent;
+  a.members.clear();  // keep capacity for the next entry
+  a.waiting = 0;
+  free_activations_.push_back(index);
+  if (open_activation_ == index) open_activation_ = kNoActivation;
+}
+
+void FlowNetwork::fire_activation(std::uint32_t index) {
+  // activate() reaches no caller code, so nothing joins or cancels a member
+  // while the loop runs; releasing the entry after it closes the entry to
+  // later joins.
+  for (const auto& [slot, id] : activations_[index].members) {
+    activate(slot, id);
+  }
+  release_activation(index);
 }
 
 void FlowNetwork::activate(std::uint32_t slot, TransferId id) {
   Transfer& t = pool_[slot];
   if (t.id != id) return;  // cancelled while waiting out the latency
-  t.pending_event = sim::kInvalidEvent;
+  t.activation = kNoActivation;
   t.in_flight = true;
   t.last_update = sim_->now();
   if (t.pipelined) {
@@ -206,6 +250,17 @@ void FlowNetwork::cancel_transfer(TransferId id) {
   if (t.pending_event != sim::kInvalidEvent) {
     sim_->cancel(t.pending_event);
     t.pending_event = sim::kInvalidEvent;
+  }
+  if (t.activation != kNoActivation) {
+    // The shared entry stays for the other members; this one drops out at
+    // firing through activate()'s id guard. The last member takes the
+    // entry with it.
+    Activation& a = activations_[t.activation];
+    if (--a.waiting == 0) {
+      sim_->cancel(a.event);
+      release_activation(t.activation);
+    }
+    t.activation = kNoActivation;
   }
   const bool was_in_flight = t.in_flight;
   if (was_in_flight) {

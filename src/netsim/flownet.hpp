@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/callback.hpp"
@@ -176,6 +177,9 @@ class FlowNetwork {
   void debug_dump() const;
 
  private:
+  static constexpr std::uint32_t kNoActivation =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Transfer {
     TransferId id = kInvalidTransfer;  // kInvalidTransfer marks a free slot
     topo::Path path;
@@ -187,7 +191,9 @@ class FlowNetwork {
     bool pipelined = false;  // occupies all hops at once when true
     bool in_flight = false;  // false while waiting out hop latency
     Time last_update = 0;
-    sim::EventId pending_event = sim::kInvalidEvent;  // activation/completion
+    sim::EventId pending_event = sim::kInvalidEvent;  // hop completion
+    /// Index into activations_ while waiting out the hop latency.
+    std::uint32_t activation = kNoActivation;
     Callback<void(TransferId)> on_complete;
     /// Directed links occupied while in flight: the current hop for
     /// store-and-forward flows, every hop for pipelined ones. Cached at
@@ -207,8 +213,20 @@ class FlowNetwork {
   void detach_links(std::uint32_t slot);
   void mark_dirty(std::size_t link_index);
 
+  /// Hop activations that share one calendar entry (see begin_hop()).
+  struct Activation {
+    sim::EventId event = sim::kInvalidEvent;
+    std::vector<std::pair<std::uint32_t, TransferId>> members;  ///< join order
+    std::size_t waiting = 0;  ///< members not cancelled
+  };
+
   // Engine phases.
+  /// Wait out the current hop's latency, then activate(). An activation
+  /// due at the same time as the last activation entry, with nothing
+  /// scheduled on the simulator since, joins that entry.
   void begin_hop(std::uint32_t slot);
+  void fire_activation(std::uint32_t index);
+  void release_activation(std::uint32_t index);
   void activate(std::uint32_t slot, TransferId id);
   void on_hop_complete(std::uint32_t slot, TransferId id);
   /// Accrue bytes at the current rate through `now`. Called only when the
@@ -243,6 +261,15 @@ class FlowNetwork {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_transfers_ = 0;  ///< occupied pool slots
   std::size_t in_flight_count_ = 0;
+
+  /// Activation entry pool, recycled like the transfer pool. The open
+  /// entry is the last one scheduled, joinable while it is unfired, due at
+  /// open_at_, and scheduled_events() still reads open_stamp_.
+  std::vector<Activation> activations_;
+  std::vector<std::uint32_t> free_activations_;
+  std::uint32_t open_activation_ = kNoActivation;
+  Time open_at_ = 0.0;
+  std::uint64_t open_stamp_ = 0;
 
   std::vector<double> degradation_;          // per edge
   std::vector<Bandwidth> link_rate_;         // per directed link, busy rate

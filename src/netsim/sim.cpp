@@ -1,5 +1,6 @@
 #include "netsim/sim.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -7,22 +8,32 @@
 
 namespace hero::sim {
 
-EventId Simulator::schedule(Time at, Callback cb) {
+void Simulator::check_time(Time at) const {
+  // A NaN time would fire and poison now(): every later `at < now_` test
+  // is false against NaN, so the calendar would stop rejecting anything.
+  if (!std::isfinite(raw(at))) {
+    throw std::invalid_argument("Simulator: non-finite event time");
+  }
   if (at < now_) throw std::invalid_argument("Simulator: event in the past");
+}
+
+EventId Simulator::schedule(Time at, Callback cb) {
+  check_time(at);
   const EventId id = queue_.push(at, next_seq_++, std::move(cb));
   note_pending();
   return id;
 }
 
 void Simulator::schedule_series(std::unique_ptr<EventSeries> series) {
-  const std::uint64_t base = next_seq_;
-  next_seq_ += series->size();
   Time at = 0.0;
   std::uint64_t rank = 0;
-  if (!series->advance(at, rank)) return;
-  // Elements only move forward, so the head is the earliest one.
-  if (at < now_) throw std::invalid_argument("Simulator: event in the past");
-  push_series(std::move(series), base, at, rank);
+  const bool any = series->advance(at, rank);
+  // Elements only move forward, so the head is the earliest one. A
+  // rejected series reserves no sequence numbers.
+  if (any) check_time(at);
+  const std::uint64_t base = next_seq_;
+  next_seq_ += series->size();
+  if (any) push_series(std::move(series), base, at, rank);
 }
 
 void Simulator::push_series(std::unique_ptr<EventSeries> series,

@@ -55,8 +55,8 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `at` (>= now). Returns a handle usable
-  /// with cancel().
+  /// Schedule `cb` at absolute time `at` (finite, >= now). Returns a handle
+  /// usable with cancel(). Throws std::invalid_argument otherwise.
   EventId schedule(Time at, Callback cb);
   /// Schedule `cb` after `delay` seconds.
   EventId schedule_in(Time delay, Callback cb);
@@ -66,7 +66,8 @@ class Simulator {
   /// schedule() for each element in rank order now — same firing order
   /// against every other event, same scheduled_events() — but the calendar
   /// holds at most one element of the series at a time. Throws if the
-  /// first element lies in the past; elements cannot be cancelled.
+  /// first element lies in the past or is not finite; elements cannot be
+  /// cancelled.
   void schedule_series(std::unique_ptr<EventSeries> series);
 
   /// Execute the next event. Returns false when the calendar is empty.
@@ -103,6 +104,8 @@ class Simulator {
   }
 
  private:
+  /// Throws std::invalid_argument unless `at` is finite and not before now.
+  void check_time(Time at) const;
   void push_series(std::unique_ptr<EventSeries> series, std::uint64_t base,
                    Time at, std::uint64_t rank);
   void note_pending() {

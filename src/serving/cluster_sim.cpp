@@ -543,30 +543,54 @@ void ClusterSim::start_decode_iteration() {
     m->counter("serve.decode_iterations").add(1);
   }
 
-  // All pipeline stages run concurrently (steady-state pipelining).
-  auto pending = std::make_shared<std::size_t>(decode_stages_.size());
+  // All pipeline stages run concurrently (steady-state pipelining). A TP>1
+  // stage's entry starts its all-reduce; a TP1 stage's would only count
+  // down the barrier, so the TP1 stages share one entry at the slowest of
+  // their times — the instant the last of their own entries would fire.
+  // The compute times are still drawn stage by stage, in stage order.
+  std::size_t sync_stages = 0;
+  for (const Stage& stage : decode_stages_) sync_stages += stage.p_tens > 1;
+  const bool local_stages = sync_stages < decode_stages_.size();
+  if (sync_stages == 0) {
+    Time slowest = 0.0;
+    for (const Stage& stage : decode_stages_) {
+      slowest = std::max(slowest, decode_compute(stage, batch_size, ctx));
+    }
+    simulator().schedule_in(slowest, [this, batch_size] {
+      on_decode_iteration_done(batch_size);
+    });
+    return;
+  }
+  auto pending = std::make_shared<std::size_t>(sync_stages + local_stages);
+  Time slowest_local = 0.0;
   for (Stage& stage : decode_stages_) {
-    const Time compute = stage.kernel->decode_time(batch_size, ctx,
-                                                   stage.layers,
-                                                   stage.p_tens) *
-                         stage_scale(stage);
+    const Time compute = decode_compute(stage, batch_size, ctx);
+    if (stage.p_tens <= 1) {
+      slowest_local = std::max(slowest_local, compute);
+      continue;
+    }
     simulator().schedule_in(compute, [this, &stage, batch_size, pending] {
-      auto finish_piece = [this, batch_size, pending] {
-        if (--*pending == 0) on_decode_iteration_done(batch_size);
-      };
-      if (stage.p_tens <= 1) {
-        finish_piece();
-        return;
-      }
       const Bytes volume =
           opts_.model.iteration_sync_volume(batch_size, stage.layers);
-      engine_->all_reduce(scheduler_->all_reduce_plan(stage.group, volume),
-                          volume,
-                          [finish_piece](const coll::AllReduceResult&) {
-                            finish_piece();
-                          });
+      engine_->all_reduce(
+          scheduler_->all_reduce_plan(stage.group, volume), volume,
+          [this, batch_size, pending](const coll::AllReduceResult&) {
+            if (--*pending == 0) on_decode_iteration_done(batch_size);
+          });
     });
   }
+  if (local_stages) {
+    simulator().schedule_in(slowest_local, [this, batch_size, pending] {
+      if (--*pending == 0) on_decode_iteration_done(batch_size);
+    });
+  }
+}
+
+Time ClusterSim::decode_compute(const Stage& stage, std::size_t batch_size,
+                                std::size_t ctx) const {
+  return stage.kernel->decode_time(batch_size, ctx, stage.layers,
+                                   stage.p_tens) *
+         stage_scale(stage);
 }
 
 void ClusterSim::on_decode_iteration_done(std::size_t batch_size) {

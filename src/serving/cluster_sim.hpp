@@ -290,6 +290,11 @@ class ClusterSim {
   /// Current fault-injection slowdown of a stage: max compute_scale over
   /// its member GPUs (tensor-parallel peers wait for the slowest shard).
   [[nodiscard]] double stage_scale(const Stage& stage) const;
+  /// One decode iteration's compute time on a stage, fault slowdown
+  /// included (draws from the stage kernel's noise stream).
+  [[nodiscard]] Time decode_compute(const Stage& stage,
+                                    std::size_t batch_size,
+                                    std::size_t ctx) const;
 };
 
 /// The one serving run loop, shared by ClusterSim::run and FleetSim::run.

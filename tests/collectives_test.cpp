@@ -464,7 +464,7 @@ TEST(EnginePins, FlatRing) {
   run.f.simulator.run();
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x0p+0, 0x1.f75104d551d69p-11, 0x1.f75104d551d69p-11}},
-              96);
+              60);
 }
 
 TEST(EnginePins, FlatInaSync) {
@@ -475,7 +475,7 @@ TEST(EnginePins, FlatInaSync) {
   run.f.simulator.run();
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13}},
-              14);
+              10);
 }
 
 TEST(EnginePins, InaSyncQueuedUnderSlotPressure) {
@@ -492,7 +492,7 @@ TEST(EnginePins, InaSyncQueuedUnderSlotPressure) {
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13},
                {0x0p+0, 0x0p+0, 0x1.f969e3c968944p-13, 0x1.51a437824d4ccp-12}},
-              20);
+              16);
 }
 
 TEST(EnginePins, InaAsyncFallsBackToPs) {
@@ -512,7 +512,7 @@ TEST(EnginePins, InaAsyncFallsBackToPs) {
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x0p+0, 0x1.4f8b588e368f1p-14, 0x1.51a437824d4ccp-13},
                {0x0p+0, 0x0p+0, 0x1.f75104d551d6ap-13, 0x1.10a137f38c544p-11}},
-              31);
+              25);
 }
 
 TEST(EnginePins, HierarchicalRingOnTestbed) {
@@ -524,7 +524,7 @@ TEST(EnginePins, HierarchicalRingOnTestbed) {
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x1.68b5cbff47736p-15, 0x1.55b4677b395c5p-9,
                 0x1.5943f75efff91p-9}},
-              124);
+              73);
 }
 
 TEST(EnginePins, HierarchicalShardedIna) {
@@ -538,7 +538,7 @@ TEST(EnginePins, HierarchicalShardedIna) {
   expect_pins(run.f, run.results,
               {{0x0p+0, 0x1.5c209246bf013p-14, 0x1.06ab14ec204f3p-9,
                 0x1.05ba9bb9761f8p-8}},
-              182);
+              124);
 }
 
 // --- plan builders ---

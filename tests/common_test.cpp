@@ -67,7 +67,7 @@ cli::Options parse(std::vector<std::string> args) {
   for (std::string& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
   int argc = static_cast<int>(args.size());
-  return cli::parse_args(argc, argv.data(), "prog");
+  return cli::parse_args(argc, argv.data(), "prog", ~0u);  // every flag
 }
 
 TEST(Cli, SeedAndInstancesFlags) {
@@ -94,6 +94,29 @@ TEST(CliDeathTest, BadFlagValueExitsTwoWithOneErrorLine) {
               ::testing::ExitedWithCode(2), "error: --instances: '-5'");
   EXPECT_EXIT((void)parse({"--instances", "18446744073709551616"}),
               ::testing::ExitedWithCode(2), "is out of range");
+}
+
+TEST(CliDeathTest, SharedFlagOutsideAcceptedSetExitsTwo) {
+  std::vector<std::string> args = {"prog", "4", "--router", "bogus"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  EXPECT_EXIT((void)cli::parse_args(argc, argv.data(), "prog [n] [--seed N]",
+                                    cli::kSeed),
+              ::testing::ExitedWithCode(2),
+              "^error: --router is not an option here \\(usage: prog "
+              "\\[n\\] \\[--seed N\\]\\)\n$");
+  // Accepted flags still parse.
+  args = {"prog", "--seed", "3", "4"};
+  argv.clear();
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  argc = static_cast<int>(args.size());
+  const cli::Options opts =
+      cli::parse_args(argc, argv.data(), "prog", cli::kSeed);
+  EXPECT_EQ(opts.seed, 3u);
+  EXPECT_EQ(opts.positional, std::vector<std::string>{"4"});
 }
 
 // --- units ---

@@ -2,6 +2,9 @@
 // max-min fair sharing, utilization monitoring, and failure injection.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "netsim/flownet.hpp"
 #include "topology/builders.hpp"
@@ -255,6 +258,105 @@ TEST(FlowNetwork, NegativeBytesThrows) {
   EXPECT_THROW(
       f.net->start_transfer(path_of(f.graph, "a", "b"), -1.0, {}),
       std::invalid_argument);
+}
+
+TEST(FlowNetwork, RejectsNonFiniteBytes) {
+  Fixture f(two_hop_graph());
+  const Path path = path_of(f.graph, "a", "b");
+  for (const double bytes : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    bool done = false;
+    EXPECT_THROW(f.net->start_transfer(
+                     path, bytes,
+                     TransferOptions{[&](TransferId) { done = true; }}),
+                 std::invalid_argument);
+    f.simulator.run();
+    EXPECT_FALSE(done);
+  }
+  EXPECT_EQ(f.net->active_transfers(), 0u);
+  EXPECT_EQ(f.simulator.scheduled_events(), 0u);
+}
+
+/// Completion time of each of `count` equal flows a -> b started at t = 0
+/// back to back, with an unrelated simulator event scheduled right after
+/// flow `split_after` (none when it is past the last flow). Also reports
+/// the calendar entries the starts left pending.
+std::vector<Time> same_time_completions(std::size_t count,
+                                        std::size_t split_after,
+                                        std::size_t& pending) {
+  Fixture f(two_hop_graph(1.0 * units::us));
+  std::vector<Time> done(count, -1.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    f.net->start_transfer(path_of(f.graph, "a", "b"), 1.0 * units::MB,
+                          TransferOptions{[&done, &f, i](TransferId) {
+                            done[i] = f.simulator.now();
+                          }});
+    if (i == split_after) f.simulator.schedule(1.0, [] {});
+  }
+  pending = f.simulator.pending_events();
+  f.simulator.run();
+  return done;
+}
+
+TEST(FlowNetwork, SameTimeActivationsShareOneEntry) {
+  // Flows whose first hops activate at the same instant, started with
+  // nothing scheduled in between, wait in one calendar entry.
+  std::size_t joined = 0;
+  const std::vector<Time> one = same_time_completions(4, 4, joined);
+  EXPECT_EQ(joined, 1u);
+  // Anything scheduled between two starts splits the batch there (had it
+  // been due at the activation time, it would fire between them): two
+  // activation entries plus the unrelated one.
+  std::size_t split = 0;
+  const std::vector<Time> two = same_time_completions(4, 1, split);
+  EXPECT_EQ(split, 3u);
+  // Either way the flows run in the same order to the same times.
+  ASSERT_EQ(one.size(), two.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_GT(one[i], 0.0) << "flow " << i;
+    EXPECT_EQ(raw(one[i]), raw(two[i])) << "flow " << i;
+  }
+}
+
+TEST(FlowNetwork, CancelWhileWaitingInSharedActivation) {
+  Fixture f(two_hop_graph(1.0 * units::us));
+  const Path path = path_of(f.graph, "a", "b");
+  const DirectedLink first{0, f.graph.edge(0).a == f.graph.find("a")};
+  f.simulator.schedule(5.0, [] {});  // an unrelated entry stays pending
+  const std::size_t before = f.simulator.pending_events();
+  const Bytes delivered = f.net->delivered_bytes(first);
+  std::vector<int> done;
+  auto start = [&](int tag) {
+    return f.net->start_transfer(
+        path, 1.0 * units::MB,
+        TransferOptions{[&done, tag](TransferId) { done.push_back(tag); }});
+  };
+
+  // Cancel one member, then the rest: the shared entry outlives the first
+  // cancel and goes with the last one.
+  const TransferId a = start(0);
+  const TransferId b = start(1);
+  const TransferId c = start(2);
+  EXPECT_EQ(f.simulator.pending_events(), before + 1);
+  f.net->cancel_transfer(b);
+  EXPECT_EQ(f.simulator.pending_events(), before + 1);
+  f.net->cancel_transfer(a);
+  f.net->cancel_transfer(c);
+  EXPECT_EQ(f.simulator.pending_events(), before);
+  EXPECT_EQ(f.net->active_transfers(), 0u);
+  EXPECT_EQ(raw(f.net->delivered_bytes(first)), raw(delivered));
+
+  // A cancelled member's slot taken by a flow that joins the same entry:
+  // only the live members fire, in join order.
+  const TransferId d = start(3);
+  start(4);
+  f.net->cancel_transfer(d);
+  start(5);
+  EXPECT_EQ(f.simulator.pending_events(), before + 1);
+  f.simulator.run_until(1.0);
+  EXPECT_EQ(done, (std::vector<int>{4, 5}));
+  EXPECT_EQ(f.net->active_transfers(), 0u);
+  EXPECT_EQ(f.simulator.pending_events(), before);
 }
 
 /// Max-min property: with N flows crossing one shared hop, no link is

@@ -2,6 +2,7 @@
 // batching, KV-memory-gated admission, and metric accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -379,6 +380,75 @@ TEST(ClusterSim, RouteSearchesRunOncePerKvPair) {
   const obs::Counter* transfers = metrics.find_counter("serve.kv_transfers");
   ASSERT_NE(transfers, nullptr);
   EXPECT_GE(transfers->value(), requests);
+}
+
+// --- decode iteration events ---
+
+/// The fixture's plan with its decode cluster replaced by TP1 x PP4 over
+/// the first four GPUs the prefill cluster does not use.
+planner::PlanResult tp1_pp4_decode(const ServeFixture& f) {
+  planner::PlanResult plan = f.plan;
+  const std::vector<topo::NodeId> prefill = plan.prefill.all_gpus();
+  plan.decode = planner::ClusterPlan{};
+  plan.decode.parallel = planner::ParallelConfig{1, 4};
+  for (const topo::NodeId g : f.graph.gpus()) {
+    if (plan.decode.stages.size() == 4) break;
+    if (std::find(prefill.begin(), prefill.end(), g) != prefill.end()) {
+      continue;
+    }
+    planner::GroupPlan stage;
+    stage.gpus = {g};
+    plan.decode.stages.push_back(stage);
+  }
+  return plan;
+}
+
+TEST(ClusterSim, DecodeLocalStagesShareOneEvent) {
+  // Per-request times of a TP1 x PP4 decode plan, pinned bit for bit from
+  // the build that gave every decode stage its own calendar entry: one
+  // entry at the slowest stage's time must change nothing observable.
+  struct Pin {
+    std::uint64_t id;
+    double ttft, finish;
+  };
+  const std::vector<Pin> want = {
+      {2, 0x1.f73aa242abp-3, 0x1.99476eb25828bp+3},
+      {4, 0x1.87450b30e3c8p-4, 0x1.df3cfbf0c851dp+3},
+      {3, 0x1.baad3c514bfp-4, 0x1.f326f471e9bc7p+3},
+      {1, 0x1.91f15aaa2bbp-5, 0x1.1a5cb28af0fd5p+4},
+      {0, 0x1.2b78765f4d388p-3, 0x1.23536a4475f2ep+4},
+      {5, 0x1.0337a0e905cfp-1, 0x1.302765c98fe84p+5},
+  };
+  {
+    ServeFixture f;
+    ClusterSim sim(*f.network, *f.engine, *f.scheduler, tp1_pp4_decode(f),
+                   f.options());
+    f.scheduler->start();
+    const ServingReport report = sim.run(f.trace(0.5, want.size()));
+    ASSERT_EQ(report.completed, want.size());
+    const std::vector<RetiredSample> got = sim.retired_samples();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "sample " << i;
+      EXPECT_EQ(raw(got[i].ttft), want[i].ttft) << "request " << got[i].id;
+      EXPECT_EQ(raw(got[i].finish), want[i].finish)
+          << "request " << got[i].id;
+    }
+  }
+  // A lone request takes output_tokens - 1 decode iterations; with the
+  // controller stopped nothing else is scheduled per iteration, so the
+  // extra entries of a longer generation are the iterations' own: one
+  // each, not one per stage.
+  auto scheduled = [](std::size_t output_tokens) {
+    ServeFixture f;
+    ClusterSim sim(*f.network, *f.engine, *f.scheduler, tp1_pp4_decode(f),
+                   f.options());
+    const ServingReport report =
+        sim.run(wl::Trace{wl::Request{0, 0.0, 512, output_tokens}});
+    EXPECT_EQ(report.completed, 1u);
+    return f.simulator.scheduled_events();
+  };
+  EXPECT_EQ(scheduled(61) - scheduled(21), 40u);
 }
 
 }  // namespace

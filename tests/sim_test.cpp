@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -366,6 +367,37 @@ TEST(SimulatorSeries, PastHeadThrows) {
   EXPECT_THROW(s.schedule_series(std::make_unique<VectorSeries>(
                    std::vector<double>{6.0, 4.0}, [](std::size_t) {})),
                std::invalid_argument);
+}
+
+TEST(Simulator, RejectsNonFiniteTime) {
+  // A NaN time used to fire and set now() to NaN, after which no time
+  // compared as "in the past" any more.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Simulator s;
+  s.schedule(1.0, [] {});
+  s.run();
+  EXPECT_THROW(s.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule(-inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_in(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_in(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_series(std::make_unique<VectorSeries>(
+                   std::vector<double>{nan}, [](std::size_t) {})),
+               std::invalid_argument);
+  EXPECT_THROW(s.schedule_series(std::make_unique<VectorSeries>(
+                   std::vector<double>{inf}, [](std::size_t) {})),
+               std::invalid_argument);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.scheduled_events(), 1u);  // rejected times reserve nothing
+  EXPECT_FALSE(s.step());
+  EXPECT_DOUBLE_EQ(raw(s.now()), 1.0);
+  // The calendar still orders and rejects as before.
+  EXPECT_THROW(s.schedule(0.5, [] {}), std::invalid_argument);
+  bool fired = false;
+  s.schedule(2.0, [&] { fired = true; });
+  s.run();
+  EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorSeries, OutOfOrderElementThrows) {
